@@ -24,6 +24,7 @@ from .inequality_harness import (
     CSV_HEADER,
     HyReport,
     LedgerEntry,
+    _l1,
     hy_ratio,
     proof_ledger,
     quadratic_error_probe,
@@ -318,6 +319,12 @@ def _search_config(cfg: ExperimentConfig) -> SearchConfig:
     )
 
 
+def _violates_small_bound(seq: CoefficientSequence, ratio: float) -> bool:
+    """ratio above the bound 1 + 3 ||F||_1 that the small-sequence theorem
+    states for this F (held to 1e-6 absolute)."""
+    return ratio > 1.0 + 3.0 * _l1(seq) + 1e-6
+
+
 def _run_search(cfg: ExperimentConfig) -> int:
     print(f"seed {cfg.seed}")
     scfg = _search_config(cfg)
@@ -331,7 +338,7 @@ def _run_search(cfg: ExperimentConfig) -> int:
     if res.trace:
         emit_report([(i, r) for i, r in res.trace], "plot", out / "search_trace.dat")
     # under the small-l1 hypothesis a bound violation is a counterexample
-    if scfg.l1_cap <= 0.5 and res.best_ratio > 1.0 + 3.0 * scfg.l1_cap + 1e-6:
+    if scfg.l1_cap <= 0.5 and _violates_small_bound(res.best_F, res.best_ratio):
         rep = vf.SuiteReport("search", cfg.seed)
         rep.fail(F=res.best_F.to_json_dict(), p=cfg.p, ratio=res.best_ratio,
                  kind="small-sequence bound violated")
@@ -350,7 +357,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
     emit_report([r.to_dict() for r in rows], "json", out / "sweep.json")
     emit_report([(r.p, r.best_ratio) for r in rows], "plot", out / "sweep.dat")
     bad = [r for r in rows if cfg.l1_cap <= 0.5
-           and r.best_ratio > 1.0 + 3.0 * cfg.l1_cap + 1e-6]
+           and _violates_small_bound(r.best_F, r.best_ratio)]
     if bad:
         rep = vf.SuiteReport("sweep", cfg.seed)
         for r in bad:

@@ -208,6 +208,7 @@ def local_search(
         offset, vals.size, exponents,
         rel_tol=max(cfg.coarse_rel_tol, cfg.quadrature.rel_tol),
         max_grid=cfg.quadrature.max_grid,
+        initial_grid=cfg.quadrature.initial_grid,
     )
     best = coarse.ratio(vals)
     trace = [(0, best)] if keep_trace else None

@@ -32,6 +32,8 @@ from .spectral_norms import (
     NormResult,
     QuadratureConfig,
     WeightSampler,
+    _RowView,
+    _refined_level,
     lp_sequence_norm,
     lq_norm_periodic,
     nl_weight_sequence,
@@ -395,70 +397,47 @@ def theorem2_margin(
 # proof ledger
 
 
+_RED, _LIN = 0, 1  # leading index of a _TraceGrids level
+
+
 class _TraceGrids:
-    """Shared uniform-grid samples feeding the ledger's row norms.
+    """Uniform-grid samples feeding the ledger's row norms.
 
-    For each grid size the recurrences are run once, vectorized over t,
-    capturing for every truncation index N in [N_min - 1, N_max]:
+    A level of M points is one (2, rows, M) array from running the
+    recurrences vectorized over t, holding for every truncation index N in
+    [N_min - 1, N_max]:
 
-      red[k]  = |ra_N(t)| + |rb_N(t)|   (reduced pair moduli)
-      lin[k]  = |sum_{n <= N} F_n e^{2 pi i n t}|
+      level[_RED][k] = |ra_N(t)| + |rb_N(t)|   (reduced pair moduli)
+      level[_LIN][k] = |sum_{n <= N} F_n e^{2 pi i n t}|
 
-    plus the weight samples and |b| of the full product.
+    The levels do not depend on the exponent: one instance lives on the
+    sequence's WeightSampler and serves the ledger at every p, and a level
+    of 2M points is built from the cached M-point level (see
+    ``_refined_level``).
     """
 
     def __init__(self, seq: CoefficientSequence):
-        self.seq = seq
         self.entries = seq.window_entries()
-        self._cache: dict[int, dict] = {}
+        self._cache: dict[int, np.ndarray] = {}
 
-    def level(self, grid_size: int) -> dict:
-        lv = self._cache.get(grid_size)
-        if lv is None:
-            ts = np.arange(grid_size, dtype=float) / grid_size
-            ra = np.zeros(grid_size, dtype=complex)
-            rb = np.zeros(grid_size, dtype=complex)
-            lin = np.zeros(grid_size, dtype=complex)
-            red_rows = [np.zeros(grid_size)]
-            lin_rows = [np.zeros(grid_size)]
-            for n, v in self.entries:
-                e = np.exp(2j * np.pi * np.mod(float(n) * ts, 1.0))
-                ra, rb = (
-                    ra + rb * np.conj(v) * np.conj(e),
-                    rb + v * e + ra * v * e,
-                )
-                lin = lin + v * e
-                red_rows.append(np.abs(ra) + np.abs(rb))
-                lin_rows.append(np.abs(lin))
-            _, b = product_on_grid_arrays(self.seq, ts)
-            b_abs = np.abs(b)
-            lv = {
-                "red": np.array(red_rows),
-                "lin": np.array(lin_rows),
-                # log|a|^2 = log(1 + |b|^2) on the group, stable at zeros
-                "w": np.sqrt(np.log1p(b_abs**2)),
-                "b_abs": b_abs,
-            }
-            self._cache[grid_size] = lv
-        return lv
+    def level(self, grid_size: int) -> np.ndarray:
+        return _refined_level(self._cache, grid_size, self._rows)
 
-    def row(self, kind: str, index: int):
-        grids = self
-
-        class _Row:
-            def on_grid(self, grid_size):
-                return grids.level(grid_size)[kind][index]
-
-        return _Row()
-
-    def scalar(self, kind: str):
-        grids = self
-
-        class _Scalar:
-            def on_grid(self, grid_size):
-                return grids.level(grid_size)[kind]
-
-        return _Scalar()
+    def _rows(self, ts: np.ndarray) -> np.ndarray:
+        out = np.zeros((2, len(self.entries) + 1, ts.size))
+        ra = np.zeros(ts.size, dtype=complex)
+        rb = np.zeros(ts.size, dtype=complex)
+        lin = np.zeros(ts.size, dtype=complex)
+        for k, (n, v) in enumerate(self.entries, start=1):
+            e = np.exp(2j * np.pi * np.mod(float(n) * ts, 1.0))
+            ra, rb = (
+                ra + rb * np.conj(v) * np.conj(e),
+                rb + v * e + ra * v * e,
+            )
+            lin = lin + v * e
+            out[_RED, k] = np.abs(ra) + np.abs(rb)
+            out[_LIN, k] = np.abs(lin)
+        return out
 
 
 def _entry(check_id, lhs, rhs, scale, tol, context="", converged=True) -> LedgerEntry:
@@ -494,6 +473,7 @@ def proof_ledger(
     cfg: QuadratureConfig,
     t_samples: int = 16,
     margin_tol: float = DEFAULT_MARGIN_TOL,
+    sampler: WeightSampler | None = None,
 ) -> list[LedgerEntry]:
     """Evaluate the nine-link estimate chain on one input.
 
@@ -510,7 +490,9 @@ def proof_ledger(
     L9  scalar comparison 3 l1 + (3 l1 / c)^(1/gamma) <= (l1/delta)^(1/alpha)
         (requires the spread condition)
 
-    Hypothesis failures are recorded per entry, never raised.
+    Hypothesis failures are recorded per entry, never raised.  ``sampler``
+    (for ``seq``) lets the ledgers at several exponents and the theorem
+    margins share one set of grid samples.
     """
     _require_nonzero(seq)
     p, q = exponents.p, exponents.q
@@ -521,7 +503,11 @@ def proof_ledger(
     lp_w = lp_sequence_norm(weights, p)
     log_prod_a = 0.5 * float(sum(_log_a_sq(m) for m in mods))
     prod_a = math.exp(log_prod_a)
-    grids = _TraceGrids(seq)
+    if sampler is None:
+        sampler = WeightSampler(seq)
+    if sampler.trace_grids is None:
+        sampler.trace_grids = _TraceGrids(seq)
+    grids = sampler.trace_grids
     entries = grids.entries
     n_rows = len(entries) + 1  # truncations N_min-1 .. N_max
     n_first = entries[0][0] - 1
@@ -544,8 +530,7 @@ def proof_ledger(
         out.append(_entry("L2", prod_a, rhs2, max(rhs2, 1.0), margin_tol, context))
 
     # L3: pointwise at t_samples uniform points
-    lv = grids.level(t_samples)
-    red, lin = lv["red"], lv["lin"]
+    red, lin = grids.level(t_samples)
     absf = np.array([abs(v) for _, v in entries])
     bind3 = None
     scale3 = 1.0
@@ -570,8 +555,10 @@ def proof_ledger(
     )
 
     # Row norms under shared refinement
-    red_norms = [lq_norm_periodic(grids.row("red", k), q, cfg) for k in range(n_rows)]
-    lin_norms = [lq_norm_periodic(grids.row("lin", k), q, cfg) for k in range(n_rows)]
+    red_norms = [lq_norm_periodic(_RowView(grids.level, (_RED, k)), q, cfg)
+                 for k in range(n_rows)]
+    lin_norms = [lq_norm_periodic(_RowView(grids.level, (_LIN, k)), q, cfg)
+                 for k in range(n_rows)]
     conv = all(r.converged for r in red_norms + lin_norms)
     red_vals = np.array([r.value for r in red_norms])
     lin_vals = np.array([r.value for r in lin_norms])
@@ -614,11 +601,11 @@ def proof_ledger(
         )
 
     # L6: weight norm <= ||b||_q <= prod_a ||F||_p / (1 - l1)
-    w_norm = lq_norm_periodic(grids.scalar("w"), q, cfg)
+    w_norm = lq_norm_periodic(sampler, q, cfg)
     if l1 >= 1.0:
         out.append(_skipped("L6", f"l1={l1!r} >= 1"))
     else:
-        b_norm = lq_norm_periodic(grids.scalar("b_abs"), q, cfg)
+        b_norm = lq_norm_periodic(_RowView(sampler.b_abs_on_grid), q, cfg)
         cap6 = prod_a * lp_f / (1.0 - l1)
         m_a = b_norm.value - w_norm.value
         m_b = cap6 - b_norm.value

@@ -111,28 +111,76 @@ class _FunctionSampler:
         return out
 
 
-class WeightSampler:
-    """Cached samples of the torus weight (log|a(t)|^2)^(1/2) for one F.
+def _refined_level(cache: dict, grid_size: int, fresh) -> np.ndarray:
+    """``cache[grid_size]``, computed on a miss from ``fresh(ts)``.
 
-    One instance is shared across quadratures at several exponents so the
-    product is evaluated once per grid level.
+    ``fresh`` maps an array of points t to samples whose last axis runs over
+    t.  When the level of ``grid_size // 2`` points is cached, only the odd
+    points (2j + 1) / grid_size are evaluated and interleaved with it: the
+    even points 2j / grid_size and j / (grid_size / 2) round to the same
+    double, so the level is bit-identical to evaluating every point.
+    """
+    out = cache.get(grid_size)
+    if out is None:
+        half = cache.get(grid_size // 2) if grid_size % 2 == 0 else None
+        if half is None:
+            out = fresh(np.arange(grid_size, dtype=float) / grid_size)
+        else:
+            odd = fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size)
+            out = np.empty(half.shape[:-1] + (grid_size,), dtype=half.dtype)
+            out[..., 0::2] = half
+            out[..., 1::2] = odd
+        cache[grid_size] = out
+    return out
+
+
+class _RowView:
+    """on_grid view of ``table(M)[index]`` for a per-grid sample table."""
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, table, index=...):
+        self.table = table
+        self.index = index
+
+    def on_grid(self, grid_size: int) -> np.ndarray:
+        return self.table(grid_size)[self.index]
+
+
+class WeightSampler:
+    """Cached samples of |b(t)|, log|a(t)|^2 and the torus weight
+    (log|a(t)|^2)^(1/2) for one F.
+
+    One instance per sequence is shared by everything that samples it: the
+    quadratures at every exponent, the theorem margins and the proof ledger,
+    which keeps its row levels here too (``trace_grids``).  Each grid level is
+    therefore evaluated once per sequence, and a level of 2M points is built
+    from the cached M-point level by evaluating only the M new odd points.
     """
 
     def __init__(self, seq: CoefficientSequence):
         self.seq = seq
+        self._b_abs: dict[int, np.ndarray] = {}
         self._logsq: dict[int, np.ndarray] = {}
         self._weight: dict[int, np.ndarray] = {}
+        self.trace_grids = None  # set by proof_ledger on first use
+
+    def _b_abs_at(self, ts: np.ndarray) -> np.ndarray:
+        return np.abs(product_on_grid_arrays(self.seq, ts)[1])
 
     def logsq_on_grid(self, grid_size: int) -> np.ndarray:
         out = self._logsq.get(grid_size)
         if out is None:
-            ts = np.arange(grid_size, dtype=float) / grid_size
-            _, b = product_on_grid_arrays(self.seq, ts)
+            b_abs = _refined_level(self._b_abs, grid_size, self._b_abs_at)
             # log|a|^2 = log(1 + |b|^2) by the group constraint; the |b|
             # route is exact at weight zeros where |a|^2 - 1 cancels badly
-            out = np.log1p(np.abs(b) ** 2)
+            out = np.log1p(b_abs**2)
             self._logsq[grid_size] = out
         return out
+
+    def b_abs_on_grid(self, grid_size: int) -> np.ndarray:
+        self.logsq_on_grid(grid_size)  # builds both levels together
+        return self._b_abs[grid_size]
 
     def on_grid(self, grid_size: int) -> np.ndarray:
         out = self._weight.get(grid_size)
@@ -242,13 +290,8 @@ def parseval_residual(
     stays below 1e-9 for well-resolved inputs.  With ``full_output`` the
     NormResult of the integral side is returned as well.
     """
-    sampler = WeightSampler(seq)
-
-    class _LogSq:
-        def on_grid(self, grid_size):
-            return sampler.logsq_on_grid(grid_size)
-
-    integral = _refine(_LogSq(), lambda s: float(np.mean(s)), cfg)
+    logsq = _RowView(WeightSampler(seq).logsq_on_grid)
+    integral = _refine(logsq, lambda s: float(np.mean(s)), cfg)
     seq_side = float(sum(_log_a_sq(m) for m in seq.moduli()))
     residual = integral.value - seq_side
     if full_output:

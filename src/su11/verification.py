@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateFitError
 from .nft_core import CoefficientSequence, product_on_grid_arrays
 from .spectral_norms import (
     ExponentPair,
@@ -181,20 +182,16 @@ def parseval_suite(
     if abs(res) > 1e-10 or abs(detail.value - both) > 1e-10:
         rep.fail(F=fixture.to_json_dict(), residual=res)
 
-    histories = []
     for _ in range(n_draws):
         seq = random_window_sequence(rng, 10, 0.9)
         if seq.is_zero():
             continue
-        res, detail = parseval_residual(seq, cfg, full_output=True)
+        res = parseval_residual(seq, cfg)
         rep.n_checked += 1
         rep.record_worst("abs_residual", abs(res), smaller_is_worse=False)
-        histories.append(detail.history)
         if abs(res) > 1e-9:
             rep.fail(F=seq.to_json_dict(), residual=res)
     rep.worst.setdefault("abs_residual", 0.0)
-    rep.notes.append(f"refinement histories kept for {len(histories)} draws")
-    rep.histories = histories  # consumed by the refinement-monotonicity check
     return rep
 
 
@@ -286,7 +283,8 @@ def theorem1_suite(
                 rep.fail(F=seq.to_json_dict(), p=p, ratio=report.ratio,
                          kind="corollary-5/2")
             if with_ledger:
-                for entry in proof_ledger(seq, e, cc, cfg, t_samples=t_samples):
+                for entry in proof_ledger(seq, e, cc, cfg, t_samples=t_samples,
+                                          sampler=sampler):
                     if entry.check_id in asserted:
                         rep.record_worst(f"{entry.check_id}_margin_rel",
                                          entry.margin_rel)
@@ -317,7 +315,8 @@ def theorem2_suite(
             rep.fail(F=seq.to_json_dict(), p=p, kind="construction",
                      margin=cond.margin)
             continue
-        report = theorem2_margin(seq, e, cc, cfg)
+        sampler = WeightSampler(seq)
+        report = theorem2_margin(seq, e, cc, cfg, sampler=sampler)
         rep.n_checked += 1
         rel = report.margin / max(report.rhs, 1e-300)
         rel_refined = report.refined_margin / max(report.rhs, 1e-300)
@@ -326,7 +325,7 @@ def theorem2_suite(
         if rel < -1e-9 or rel_refined < -1e-9:
             rep.fail(F=seq.to_json_dict(), p=p, margin_rel=rel,
                      refined_rel=rel_refined, kind="theorem2")
-        for entry in proof_ledger(seq, e, cc, cfg):
+        for entry in proof_ledger(seq, e, cc, cfg, sampler=sampler):
             if entry.check_id in ("L8", "L9"):
                 rep.record_worst(f"{entry.check_id}_margin_rel", entry.margin_rel)
                 if entry.precondition_failed or not entry.holds:
@@ -458,7 +457,12 @@ def _adjacent_swap_product(vals, t: float) -> complex:
 
 def linearization_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     """Deviation between b and the linear transform vanishes faster than
-    quadratically along shrinking inputs (fitted slope >= 1.9)."""
+    quadratically along shrinking inputs (fitted slope >= 1.9).
+
+    A random draw whose deviations all sit below the noise floor (a single
+    tiny entry, say) has no slope to fit; it is skipped, not checked, and
+    the count of such draws goes into the notes.
+    """
     from .inequality_harness import quadratic_error_probe
 
     rng = np.random.default_rng(seed)
@@ -472,13 +476,20 @@ def linearization_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     if probe.slope < 2.0 - 0.1:
         rep.fail(F=fixture.to_json_dict(), slope=probe.slope)
 
+    degenerate = 0
     for _ in range(5):
         seq = random_window_sequence(rng, 6, 0.6)
         if seq.is_zero():
             continue
-        probe = quadratic_error_probe(seq, scales)
+        try:
+            probe = quadratic_error_probe(seq, scales)
+        except DegenerateFitError:
+            degenerate += 1
+            continue
         rep.n_checked += 1
         rep.record_worst("random_slope_min", probe.slope)
         if probe.slope < 1.9:
             rep.fail(F=seq.to_json_dict(), slope=probe.slope)
+    if degenerate:
+        rep.notes.append(f"degenerate draws skipped: {degenerate}")
     return rep

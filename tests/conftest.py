@@ -27,3 +27,10 @@ def random_sequence_draw(rng, max_window=12, sup_cap=0.9, l1_target=None):
         if total > 0:
             vals *= l1_target / total
     return CoefficientSequence(lo, tuple(vals))
+
+
+def sequence_of_width(width):
+    """A seeded draw with exactly ``width`` entries of modulus below 0.9."""
+    rng = np.random.default_rng(width)
+    vals = rng.uniform(0.0, 0.9, width) * np.exp(1j * rng.uniform(0, 2 * np.pi, width))
+    return CoefficientSequence(int(rng.integers(-width, 7)), tuple(vals))

@@ -4,7 +4,9 @@ import pytest
 
 from su11 import CoefficientSequence, ExponentPair, hy_ratio
 from su11.cli import ExperimentConfig, build_parser, emit_report, load_config, main
+from su11 import cli
 from su11.errors import ConfigError
+from su11.extremizer_search import SearchResult, SweepRow
 from su11.inequality_harness import CSV_HEADER
 from su11.nft_core import sequence_from_text, sequence_to_text
 
@@ -205,3 +207,33 @@ def test_cli_output_byte_deterministic(tmp_path, spike_file):
         assert code == 0
         outs.append((out / "ratio.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("mode", ["search", "sweep"])
+@pytest.mark.parametrize("ratio, expected", [(2.0, 2), (1.29, 0)])
+def test_search_gates_use_the_found_sequence_bound(
+    monkeypatch, capsys, tmp_path, mode, ratio, expected
+):
+    """||F||_1 = 0.1 gives the bound 1.3, below the cap's 1 + 3 * 0.5 = 2.5:
+    a ratio between the two is a counterexample for that F."""
+    best = CoefficientSequence(0, (0.05, 0.05j))
+    e = ExponentPair(1.5)
+    result = SearchResult(best, ratio, e, iters_used=0, start_index=0)
+    row = SweepRow(e.p, e.q, ratio, ratio, "digest", best, 1.0)
+    monkeypatch.setattr(cli, "multi_start", lambda *a, **k: result)
+    monkeypatch.setattr(cli, "p_sweep", lambda *a, **k: [row])
+    code = main([mode, "--p", "1.5", "--p-values", "1.5", "--l1-cap", "0.5",
+                 "--output", str(tmp_path)])
+    assert code == expected
+    assert (tmp_path / "counterexample.json").exists() == (expected == 2)
+
+
+def test_verify_skips_degenerate_linearization_draws(capsys, tmp_path):
+    """This seed draws a single ~1e-4 entry whose deviations all sit below
+    the fit's noise floor; the draw is recorded as skipped, not a crash."""
+    code = main(["verify", "--seed", "3088435141", "--output", str(tmp_path)])
+    assert code == 0
+    suites = {s["name"]: s for s in json.loads((tmp_path / "verify.json").read_text())}
+    lin = suites["linearization"]
+    assert lin["passed"] and lin["n_checked"] == 5
+    assert "degenerate draws skipped: 1" in lin["notes"]

@@ -21,8 +21,11 @@ from su11 import (
     theorem2_margin,
 )
 from su11.extended import mp_det_residual, mp_hy_margin
+from su11.inequality_harness import _TraceGrids
+from su11.spectral_norms import WeightSampler
+from su11.verification import THEOREM1_PS
 
-from conftest import random_sequence_draw
+from conftest import random_sequence_draw, sequence_of_width
 
 CC = CCParameters(1.0, 1.0, 1.0)
 
@@ -258,6 +261,46 @@ def test_ledger_context_records_binding_site(quad):
                               ExponentPair(1.5), CC, quad))
     assert "binding" in led["L4"].context
     assert "N=" in led["L5"].context
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 12, 25, 48])
+def test_trace_levels_from_odd_points_match_fresh_evaluation(width):
+    """Ledger row levels built from the cached coarser level plus the new
+    odd points equal a fresh evaluation of every point, bit for bit."""
+    seq = sequence_of_width(width)
+    grids = _TraceGrids(seq)
+    for first in (16, 12):
+        grid = first
+        while grid <= 8192:
+            assert np.array_equal(grids.level(grid), _TraceGrids(seq).level(grid))
+            grid *= 2
+
+
+def _nan_safe(entries):
+    return [
+        {k: "nan" if isinstance(v, float) and math.isnan(v) else v
+         for k, v in e.to_dict().items()}
+        for e in entries
+    ]
+
+
+def test_ledger_with_shared_sampler_matches_fresh_calls(quad):
+    """One sampler shared by the margins and the ledgers at every exponent
+    gives exactly the entries of independent per-exponent calls."""
+    rng = np.random.default_rng(11)
+    seqs = [
+        random_sequence_draw(rng, l1_target=0.4),
+        CoefficientSequence(-2, (0.6, 0.5j, -0.4)),  # l1 > 1: skipped links
+        CoefficientSequence(0, (0.001,) * 10),  # spread: L8/L9 evaluated
+    ]
+    for seq in seqs:
+        sampler = WeightSampler(seq)
+        for p in THEOREM1_PS:
+            e = ExponentPair(p)
+            hy_ratio(seq, e, quad, sampler=sampler)
+            shared = proof_ledger(seq, e, CC, quad, t_samples=12, sampler=sampler)
+            fresh = proof_ledger(seq, e, CC, quad, t_samples=12)
+            assert _nan_safe(shared) == _nan_safe(fresh), (seq, p)
 
 
 # ---------------------------------------------------------------------------

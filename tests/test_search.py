@@ -221,3 +221,18 @@ def test_p_sweep_zero_iters_echoes_draw():
     start = random_sequence(rng, cfg.window, cfg.l1_cap)
     ref = hy_ratio(start, ExponentPair(1.5), cfg.quadrature).ratio
     assert row.search_ratio == pytest.approx(ref, rel=1e-12)
+
+
+def test_walk_starts_at_the_configured_initial_grid(monkeypatch):
+    grids = []
+    original = _WalkEvaluator._lhs_on_grid
+
+    def spy(self, vals, grid):
+        grids.append(grid)
+        return original(self, vals, grid)
+
+    monkeypatch.setattr(_WalkEvaluator, "_lhs_on_grid", spy)
+    quad = QuadratureConfig(initial_grid=64, max_grid=2**16, rel_tol=1e-8)
+    start = CoefficientSequence(0, (0.1, 0.05j, 0.02))
+    local_search(start, ExponentPair(1.5), small_config(quadrature=quad, max_iters=1))
+    assert grids[0] == 64 and min(grids) == 64

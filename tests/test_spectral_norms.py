@@ -20,7 +20,7 @@ from su11 import (
 )
 from su11.nft_core import product_on_grid_arrays
 
-from conftest import random_sequence_draw
+from conftest import random_sequence_draw, sequence_of_width
 
 # 10^6-point reference quadrature of (log(17/9 + 8/9 cos 2 pi t))^(3/2),
 # cube-rooted; computed once from the closed form before the build.
@@ -285,3 +285,42 @@ def test_frequency_support_random_windows():
         assert band_b[0] >= n_min and band_b[1] <= n_max
         band_a = frequency_support(a, claimed_bandwidth=width)
         assert band_a[0] >= -(n_max - n_min) and band_a[1] <= 0
+
+
+# ---------------------------------------------------------------------------
+# shared sampler levels
+
+
+@pytest.mark.parametrize("first", [16, 12])
+@pytest.mark.parametrize("width", [1, 2, 5, 12, 25, 48])
+def test_sampler_levels_from_odd_points_match_fresh_evaluation(width, first):
+    """Each level built from the cached coarser level plus its new odd
+    points is bit-identical to evaluating all of its points at once."""
+    seq = sequence_of_width(width)
+    sampler = WeightSampler(seq)
+    grid = first
+    while grid <= 8192:
+        ts = np.arange(grid, dtype=float) / grid
+        b_abs = np.abs(product_on_grid_arrays(seq, ts)[1])
+        logsq = np.log1p(b_abs**2)
+        assert np.array_equal(sampler.b_abs_on_grid(grid), b_abs)
+        assert np.array_equal(sampler.logsq_on_grid(grid), logsq)
+        assert np.array_equal(sampler.on_grid(grid), np.sqrt(logsq))
+        grid *= 2
+
+
+def test_sampler_evaluates_only_new_odd_points(monkeypatch):
+    import su11.spectral_norms as sn
+
+    sizes = []
+
+    def spy(seq, ts):
+        sizes.append(ts.size)
+        return product_on_grid_arrays(seq, ts)
+
+    monkeypatch.setattr(sn, "product_on_grid_arrays", spy)
+    sampler = WeightSampler(sequence_of_width(5))
+    for grid in (256, 512, 1024, 256, 512):
+        sampler.on_grid(grid)
+    sampler.on_grid(4096)  # 2048 is not cached: every point is evaluated
+    assert sizes == [256, 256, 512, 4096]
