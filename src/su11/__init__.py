@@ -11,17 +11,10 @@ from .errors import (
 )
 from .nft_core import (
     CoefficientSequence,
-    DerivedCoefficients,
     Su11Element,
-    TransformTrace,
-    derive_coefficients,
-    evaluate_on_grid,
     evaluate_product,
-    linear_fourier_truncated,
     sequence_from_text,
     sequence_to_text,
-    to_verblunsky,
-    transform_trace,
 )
 from .spectral_norms import (
     ExponentPair,
@@ -32,7 +25,6 @@ from .spectral_norms import (
     lp_sequence_norm,
     lq_norm_periodic,
     nl_weight_sequence,
-    nl_weight_torus,
     parseval_residual,
 )
 from .inequality_harness import (

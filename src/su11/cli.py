@@ -369,7 +369,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
 
 def _run_probe(cfg: ExperimentConfig) -> int:
     seq = load_sequence(cfg)
-    probe = quadratic_error_probe(seq, cfg.scales, cfg.quadrature())
+    probe = quadratic_error_probe(seq, cfg.scales)
     print(f"seed {cfg.seed}")
     print(f"slope {probe.slope!r}")
     out = _out_dir(cfg)

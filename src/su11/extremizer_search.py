@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ZeroSequenceError
-from .nft_core import CoefficientSequence, sequence_to_text, _log_a_sq
+from .nft_core import CoefficientSequence, sequence_to_text, _fold, _log_a_sq, _phases
 from .spectral_norms import ExponentPair, QuadratureConfig, _pow_q
 from .inequality_harness import hy_ratio
 
@@ -126,9 +127,9 @@ def _project(vals: np.ndarray, l1_cap: float) -> np.ndarray:
 class _WalkEvaluator:
     """Coarse-tolerance ratio evaluations for the inner loop of the walk.
 
-    Runs the same product recurrence and trapezoid refinement as the
-    canonical path, but on raw arrays with the per-index phase tables
-    precomputed once, since every candidate shares the window.  The walk's
+    Runs the same product fold and trapezoid refinement as the canonical
+    path, but on raw arrays with the per-index phase tables precomputed
+    once, since every candidate shares the window.  The walk's
     final answer is always re-certified through hy_ratio at full tolerance.
     """
 
@@ -146,29 +147,17 @@ class _WalkEvaluator:
             grid *= 2
         self._phase: dict[int, np.ndarray] = {}
 
-    def _phases(self, grid: int) -> np.ndarray:
+    def _phase_table(self, grid: int) -> np.ndarray:
         tab = self._phase.get(grid)
         if tab is None:
             ts = np.arange(grid, dtype=float) / grid
-            tab = np.empty((self.count, grid), dtype=complex)
-            for k in range(self.count):
-                tab[k] = np.exp(2j * np.pi * np.mod(float(self.offset + k) * ts, 1.0))
+            tab = np.array([_phases(self.offset + k, ts) for k in range(self.count)])
             self._phase[grid] = tab
         return tab
 
     def _lhs_on_grid(self, vals: np.ndarray, grid: int) -> float:
-        tab = self._phases(grid)
-        a = np.ones(grid, dtype=complex)
-        b = np.zeros(grid, dtype=complex)
-        for k in range(self.count):
-            v = vals[k]
-            if v == 0:
-                continue
-            m = abs(v)
-            big_a = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
-            big_b = v * big_a
-            e = tab[k]
-            a, b = a * big_a + b * np.conj(big_b) * np.conj(e), a * big_b * e + b * big_a
+        # row k of the table is the phase of entry k
+        _, b = _fold(enumerate(vals), self._phase_table(grid).__getitem__, grid)
         w = np.sqrt(np.log1p(np.abs(b) ** 2))
         mean = float(np.mean(_pow_q(w, self.q)))
         return mean ** (1.0 / self.q) if mean > 0 else 0.0
@@ -269,14 +258,17 @@ def multi_start(
     (cfg.seed, i); the maximum is taken with ties broken by the smaller
     start index, so the result does not depend on worker count.  Extra
     workers run starts in separate processes; if the platform refuses,
-    the run silently degrades to sequential with identical output.
+    the run notes the error on stderr and runs sequentially with identical
+    output.
     """
     jobs = [(exponents, cfg, i) for i in range(cfg.starts)]
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_one_start, jobs))
-        except (OSError, PermissionError):
+        except OSError as exc:
+            print(f"multi_start: process pool unavailable ({exc!r}); "
+                  f"running {len(jobs)} starts sequentially", file=sys.stderr)
             results = [_one_start(j) for j in jobs]
     else:
         results = [_one_start(j) for j in jobs]

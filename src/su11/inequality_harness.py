@@ -26,6 +26,7 @@ from .nft_core import (
     linear_fourier_on_grid,
     product_on_grid_arrays,
     _log_a_sq,
+    _phases,
 )
 from .spectral_norms import (
     ExponentPair,
@@ -252,24 +253,8 @@ def linear_hy_margin(
     arr = np.asarray(list(values), dtype=complex)
     if arr.size == 0 or not np.any(arr != 0):
         raise ZeroSequenceError("linear ratio undefined for the zero sequence")
-
-    class _AbsHat:
-        def __init__(self):
-            self._cache = {}
-
-        def on_grid(self, grid_size):
-            out = self._cache.get(grid_size)
-            if out is None:
-                ts = np.arange(grid_size, dtype=float) / grid_size
-                acc = np.zeros(grid_size, dtype=complex)
-                for n, g in enumerate(arr):
-                    if g != 0:
-                        acc += g * np.exp(2j * np.pi * np.mod(n * ts, 1.0))
-                out = np.abs(acc)
-                self._cache[grid_size] = out
-            return out
-
-    lhs = lq_norm_periodic(_AbsHat(), exponents.q, cfg)
+    abs_hat = _RowView(lambda grid: np.abs(linear_fourier_on_grid(enumerate(arr), grid)))
+    lhs = lq_norm_periodic(abs_hat, exponents.q, cfg)
     rhs = lp_sequence_norm(np.abs(arr), exponents.p)
     margin = rhs - lhs.value
     return HyReport(
@@ -429,7 +414,7 @@ class _TraceGrids:
         rb = np.zeros(ts.size, dtype=complex)
         lin = np.zeros(ts.size, dtype=complex)
         for k, (n, v) in enumerate(self.entries, start=1):
-            e = np.exp(2j * np.pi * np.mod(float(n) * ts, 1.0))
+            e = _phases(n, ts)
             ra, rb = (
                 ra + rb * np.conj(v) * np.conj(e),
                 rb + v * e + ra * v * e,
@@ -696,7 +681,6 @@ class ProbeResult:
 def quadratic_error_probe(
     seq: CoefficientSequence,
     scales,
-    cfg: QuadratureConfig | None = None,
     grid_size: int = 512,
 ) -> ProbeResult:
     """Slope of log max|b_{eps F} - eps Fhat| against log eps.
@@ -716,7 +700,7 @@ def quadratic_error_probe(
     if max(scales) / min(scales) < 5.0 - 1e-12:
         raise ValueError("scales must span at least a factor of 5")
     ts = np.arange(grid_size, dtype=float) / grid_size
-    hat = linear_fourier_on_grid(seq, None, grid_size)
+    hat = linear_fourier_on_grid(seq.window_entries(), grid_size)
     devs = []
     for s in scales:
         scaled = seq.scaled(s)

@@ -11,14 +11,14 @@ increasing n defines the pair (a(t), b(t)) with |a|^2 - |b|^2 = 1.  Only the
 first row (a, b) is ever stored; the second row is its conjugate.
 
 All functions here are pure; the dataclasses are frozen and safe to share
-across threads.  Grid evaluation and scalar evaluation run through the same
-vectorized kernel, so ``evaluate_on_grid(F, M)[j]`` is bitwise equal to
-``evaluate_product(F, j / M)``.
+across threads.  Every binary64 product in the package, on a grid or at one
+t and in any factor order, runs through the one fold ``_fold`` with phase
+rows from ``_phases``; the grid entry point ``product_on_grid_arrays(F, ts)``
+at ``ts[j]`` and the scalar ``evaluate_product(F, ts[j])`` agree bit for bit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -166,15 +166,6 @@ def sequence_from_text(text: str) -> CoefficientSequence:
 
 
 @dataclass(frozen=True)
-class DerivedCoefficients:
-    """Per-entry (A_n, B_n) aligned to the source sequence's offset."""
-
-    offset: int
-    a_diag: tuple[float, ...]
-    b_off: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class Su11Element:
     """First row (a, b) of an SU(1,1) matrix: |a|^2 - |b|^2 = 1, |a| >= 1.
 
@@ -200,23 +191,8 @@ class Su11Element:
         return abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0
 
 
-@dataclass(frozen=True)
-class TransformTrace:
-    """Partial products and reduced quantities along the support window.
-
-    ``partials[k]`` and ``reduced[k]`` correspond to truncation index
-    ``n_first + k`` where ``n_first = N_min - 1``; the first slot holds the
-    identity (1, 0) and (0, 0) respectively.
-    """
-
-    t: float
-    n_first: int
-    partials: tuple[Su11Element, ...]
-    reduced: tuple[tuple[complex, complex], ...]
-
-
 # ---------------------------------------------------------------------------
-# derived coefficients
+# the factor kernel
 
 
 def _log_a_sq(mod: float) -> float:
@@ -226,26 +202,11 @@ def _log_a_sq(mod: float) -> float:
     return -math.log((1.0 - mod) * (1.0 + mod))
 
 
-def derive_coefficients(seq: CoefficientSequence) -> DerivedCoefficients:
-    """A_n = (1-|F_n|^2)^(-1/2), B_n = F_n A_n over the stored entries.
-
-    Raises DomainError for any entry outside the guarded unit disk (already
-    enforced at construction; rechecked here so raw tuples can be used too).
-    """
-    a_diag = []
-    b_off = []
-    for v in seq.values:
-        m = abs(v)
-        if m >= 1.0 - seq.guard:
-            raise DomainError(f"modulus {m!r} outside the unit disk")
-        A = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
-        a_diag.append(A)
-        b_off.append(v * A)
-    return DerivedCoefficients(seq.offset, tuple(a_diag), tuple(b_off))
-
-
-# ---------------------------------------------------------------------------
-# product evaluation
+def _factor(v) -> tuple[float, complex]:
+    """(A_n, B_n) = ((1 - |F_n|^2)^(-1/2), F_n A_n) for one entry F_n = v."""
+    m = abs(v)
+    A = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
+    return A, v * A
 
 
 def _phases(n: int, ts: np.ndarray) -> np.ndarray:
@@ -254,27 +215,34 @@ def _phases(n: int, ts: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * frac)
 
 
+def _fold(entries, phase, shape) -> tuple[np.ndarray, np.ndarray]:
+    """First row (a, b) of the product of the factors (n, F_n), in the order
+    the pairs come.
+
+    ``phase(n)`` returns the row e^{2 pi i n t} of the given shape; it is
+    called once per nonzero entry, as the fold reaches it (zero entries are
+    identity factors).  Each step is
+        a <- a A_n + b conj(B_n) e^{-2 pi i n t},
+        b <- a B_n e^{2 pi i n t} + b A_n.
+    """
+    a = np.ones(shape, dtype=complex)
+    b = np.zeros(shape, dtype=complex)
+    for n, v in entries:
+        if v == 0:
+            continue
+        A, B = _factor(v)
+        e = phase(n)
+        a, b = a * A + b * np.conj(B) * np.conj(e), a * B * e + b * A
+    return a, b
+
+
 def product_on_grid_arrays(
     seq: CoefficientSequence, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (a(t), b(t)) over an array of t values.
-
-    This is the single kernel behind both the scalar and the grid entry
-    points, accumulated left to right in the two-complex-number
-    representation.
-    """
+    """Vectorized (a(t), b(t)) over an array of t values, factors in
+    increasing n.  The scalar entry point runs through here too."""
     ts = np.asarray(ts, dtype=float)
-    a = np.ones(ts.shape, dtype=complex)
-    b = np.zeros(ts.shape, dtype=complex)
-    for n, v in seq.window_entries():
-        if v == 0:
-            continue  # identity factor
-        m = abs(v)
-        A = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
-        B = v * A
-        e = _phases(n, ts)
-        a, b = a * A + b * np.conj(B) * np.conj(e), a * B * e + b * A
-    return a, b
+    return _fold(seq.window_entries(), lambda n: _phases(n, ts), ts.shape)
 
 
 def evaluate_product(seq: CoefficientSequence, t: float) -> Su11Element:
@@ -288,89 +256,12 @@ def evaluate_product(seq: CoefficientSequence, t: float) -> Su11Element:
     return Su11Element(complex(a[0]), complex(b[0]))
 
 
-def evaluate_on_grid(seq: CoefficientSequence, grid_size: int) -> list[Su11Element]:
-    """Products at the uniform grid t_j = j / grid_size, j = 0..grid_size-1."""
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
-    ts = np.arange(grid_size, dtype=float) / grid_size
-    a, b = product_on_grid_arrays(seq, ts)
-    return [Su11Element(complex(a[j]), complex(b[j])) for j in range(grid_size)]
-
-
-def transform_trace(seq: CoefficientSequence, t: float) -> TransformTrace:
-    """Partial products and reduced quantities at every truncation index.
-
-    Partials follow
-        a_N = a_{N-1} A_N + b_{N-1} conj(B_N) e^{-2 pi i N t},
-        b_N = a_{N-1} B_N e^{2 pi i N t} + b_{N-1} A_N,
-    and the reduced pair (running product divided by the accumulated A's,
-    with 1 subtracted on the diagonal) follows
-        ra_N = ra_{N-1} + rb_{N-1} conj(F_N) e^{-2 pi i N t},
-        rb_N = rb_{N-1} + F_N e^{2 pi i N t} + ra_{N-1} F_N e^{2 pi i N t}.
-    """
-    entries = seq.window_entries()
-    if not entries:
-        raise EmptySequenceError("transform_trace requires a nonzero sequence")
-    a, b = 1 + 0j, 0j
-    ra, rb = 0j, 0j
-    partials = [Su11Element(a, b)]
-    reduced = [(ra, rb)]
-    for n, v in entries:
-        m = abs(v)
-        A = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
-        B = v * A
-        e = cmath.exp(2j * math.pi * math.fmod(float(n) * t, 1.0))
-        a, b = a * A + b * B.conjugate() * e.conjugate(), a * B * e + b * A
-        ra, rb = ra + rb * v.conjugate() * e.conjugate(), rb + v * e + ra * v * e
-        partials.append(Su11Element(a, b))
-        reduced.append((ra, rb))
-    return TransformTrace(
-        t=float(t),
-        n_first=entries[0][0] - 1,
-        partials=tuple(partials),
-        reduced=tuple(reduced),
-    )
-
-
-def to_verblunsky(seq: CoefficientSequence) -> CoefficientSequence:
-    """The index-shifted negated sequence n -> -F_{n+1}.
-
-    These are the Verblunsky coefficients of the orthogonal-polynomial
-    recursion on the unit circle.  The recursion's matrix form is the
-    transpose of the partial product here, left-multiplied by the diagonal
-    phase matrix diag(e^{2 pi i n t}, e^{-2 pi i n t}) and viewed in the
-    variable z = e^{2 pi i t}; only the coefficient map is implemented
-    because nothing downstream consumes the matrix form.
-    """
-    return CoefficientSequence(seq.offset - 1, tuple(-v for v in seq.values))
-
-
-def linear_fourier_truncated(
-    seq: CoefficientSequence, n_cut: int | float | None, t: float
-) -> complex:
-    """Sum of F_n e^{2 pi i n t} over n <= n_cut (everything for inf/None)."""
-    if n_cut is None:
-        n_cut = math.inf
-    total = 0j
-    for k, v in enumerate(seq.values):
-        n = seq.offset + k
-        if n > n_cut or v == 0:
-            continue
-        total += v * cmath.exp(2j * math.pi * math.fmod(float(n) * t, 1.0))
-    return total
-
-
-def linear_fourier_on_grid(
-    seq: CoefficientSequence, n_cut: int | float | None, grid_size: int
-) -> np.ndarray:
-    """Vectorized truncated transform on the uniform grid j / grid_size."""
-    if n_cut is None:
-        n_cut = math.inf
+def linear_fourier_on_grid(entries, grid_size: int) -> np.ndarray:
+    """Sum of F_n e^{2 pi i n t} over the pairs (n, F_n), on the uniform
+    grid j / grid_size."""
     ts = np.arange(grid_size, dtype=float) / grid_size
     total = np.zeros(grid_size, dtype=complex)
-    for k, v in enumerate(seq.values):
-        n = seq.offset + k
-        if n > n_cut or v == 0:
-            continue
-        total += v * _phases(n, ts)
+    for n, v in entries:
+        if v != 0:
+            total += v * _phases(n, ts)
     return total

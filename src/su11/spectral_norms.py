@@ -230,17 +230,6 @@ def nl_weight_sequence(seq: CoefficientSequence) -> np.ndarray:
     return np.sqrt([_log_a_sq(m) for m in seq.moduli()])
 
 
-def nl_weight_torus(seq: CoefficientSequence, t: float) -> float:
-    """(log|a(t)|^2)^(1/2); zero exactly where |a(t)| = 1.
-
-    Evaluated as (log(1 + |b(t)|^2))^(1/2), which is the same function on
-    the group but loses no precision where the weight vanishes.
-    """
-    ts = np.array([t], dtype=float)
-    _, b = product_on_grid_arrays(seq, ts)
-    return float(np.sqrt(np.log1p(abs(complex(b[0])) ** 2)))
-
-
 def lq_norm_periodic(f, q: float, cfg: QuadratureConfig) -> NormResult:
     """(integral of f^q over one period)^(1/q) by refining trapezoid sums.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFitError
-from .nft_core import CoefficientSequence, product_on_grid_arrays
+from .nft_core import CoefficientSequence, product_on_grid_arrays, _fold, _phases
 from .spectral_norms import (
     ExponentPair,
     QuadratureConfig,
@@ -373,18 +373,10 @@ def endpoint_suite(
 def reversed_order_product(seq: CoefficientSequence, t: float) -> tuple[complex, complex]:
     """(a, b) with the factors multiplied in decreasing n, for order tests.
 
-    With exactly two factors b is symmetric under the reversal and only a
-    changes; from three factors on b changes as well.
+    By the reversal symmetry (see ``order_sensitivity_suite``) this equals
+    (conj(a), b) of the product in increasing n.
     """
-    a, b = 1 + 0j, 0j
-    for n, v in reversed(seq.window_entries()):
-        if v == 0:
-            continue
-        m = abs(v)
-        big_a = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
-        big_b = v * big_a
-        e = np.exp(2j * np.pi * float(np.mod(n * t, 1.0)))
-        a, b = a * big_a + b * np.conj(big_b) * np.conj(e), a * big_b * e + b * big_a
+    a, b = _fold(reversed(seq.window_entries()), lambda n: _phases(n, t), ())
     return complex(a), complex(b)
 
 
@@ -444,14 +436,7 @@ def _adjacent_swap_product(vals, t: float) -> complex:
     """b of the product with the first two factor matrices transposed in
     order (their indices, hence phases, kept with their coefficients)."""
     order = [1, 0] + list(range(2, len(vals)))
-    a, b = 1 + 0j, 0j
-    for n in order:
-        v = vals[n]
-        m = abs(v)
-        big_a = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
-        big_b = v * big_a
-        e = np.exp(2j * np.pi * float(np.mod(n * t, 1.0)))
-        a, b = a * big_a + b * np.conj(big_b) * np.conj(e), a * big_b * e + b * big_a
+    _, b = _fold([(n, vals[n]) for n in order], lambda n: _phases(n, t), ())
     return complex(b)
 
 

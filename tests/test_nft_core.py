@@ -1,44 +1,47 @@
+import ast
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su11
 from su11 import (
+    CCParameters,
     CoefficientSequence,
     DomainError,
-    EmptySequenceError,
+    ExponentPair,
     Su11Element,
-    derive_coefficients,
-    evaluate_on_grid,
+    ZeroSequenceError,
     evaluate_product,
-    linear_fourier_truncated,
+    proof_ledger,
     sequence_from_text,
     sequence_to_text,
-    to_verblunsky,
-    transform_trace,
 )
-from su11.nft_core import product_on_grid_arrays
+from su11.extended import mp_product
+from su11.inequality_harness import _TraceGrids
+from su11.nft_core import _factor, linear_fourier_on_grid, product_on_grid_arrays
+from su11.verification import reversed_order_product
 
 from conftest import random_sequence_draw
 
 
 # ---------------------------------------------------------------------------
-# derived coefficients
+# factor coefficients (A_n, B_n)
 
 
 def test_derive_zero_entry_gives_identity_factor():
-    d = derive_coefficients(CoefficientSequence(0, (0j,)))
-    assert d.a_diag[0] == 1.0
-    assert d.b_off[0] == 0j
+    assert _factor(0j) == (1.0, 0j)
 
 
 def test_derive_half():
-    d = derive_coefficients(CoefficientSequence(0, (0.5,)))
-    assert d.a_diag[0] == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-15)
-    assert d.b_off[0] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+    A, B = _factor(0.5 + 0j)
+    assert A == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-15)
+    assert B == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
 
 
 def test_unit_modulus_rejected():
@@ -52,8 +55,8 @@ def test_derive_group_relation_within_8_ulp():
     rng = np.random.default_rng(7)
     for _ in range(50):
         seq = random_sequence_draw(rng)
-        d = derive_coefficients(seq)
-        for A, B in zip(d.a_diag, d.b_off):
+        for v in seq.values:
+            A, B = _factor(v)
             residual = A * A - abs(B) ** 2 - 1.0
             assert abs(residual) <= 8 * np.finfo(float).eps * max(1.0, A * A)
 
@@ -94,26 +97,90 @@ def test_two_half_closed_form_generic_t(two_half):
 
 
 def test_grid_matches_scalar(two_half):
-    grid = evaluate_on_grid(two_half, 8)
-    assert len(grid) == 8
-    for j, el in enumerate(grid):
-        ref = evaluate_product(two_half, j / 8)
-        assert el.a == ref.a and el.b == ref.b  # same kernel, bitwise
+    rng = np.random.default_rng(5)
+    for seq, grid in ((two_half, 8), (random_sequence_draw(rng), 64),
+                      (random_sequence_draw(rng), 37)):
+        a, b = product_on_grid_arrays(seq, np.arange(grid) / grid)
+        assert a.shape == b.shape == (grid,)
+        for j in range(grid):
+            ref = evaluate_product(seq, j / grid)
+            assert a[j] == ref.a and b[j] == ref.b  # same kernel, bitwise
 
 
 def test_grid_single_factor_constant():
     seq = CoefficientSequence(0, (0.5,))
-    grid = evaluate_on_grid(seq, 8)
-    for el in grid:
-        assert el.a == pytest.approx(2 / math.sqrt(3), rel=1e-15)
-        assert el.b == pytest.approx(1 / math.sqrt(3), rel=1e-15)
+    a, b = product_on_grid_arrays(seq, np.arange(8) / 8)
+    assert a == pytest.approx(np.full(8, 2 / math.sqrt(3)), rel=1e-15)
+    assert b == pytest.approx(np.full(8, 1 / math.sqrt(3)), rel=1e-15)
 
 
 def test_grid_two_point(two_half):
-    grid = evaluate_on_grid(two_half, 2)
-    assert grid[0].a == pytest.approx(5 / 3, rel=1e-14)
-    assert grid[1].a == pytest.approx(1.0, rel=1e-14)
-    assert abs(grid[1].b) < 1e-14
+    a, b = product_on_grid_arrays(two_half, np.array([0.0, 0.5]))
+    assert a[0] == pytest.approx(5 / 3, rel=1e-14)
+    assert a[1] == pytest.approx(1.0, rel=1e-14)
+    assert abs(b[1]) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the fast kernel against the extended-precision oracle
+
+
+_entries = st.lists(
+    st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi)), min_size=1, max_size=12
+)
+
+
+def _sequence(offset, polar):
+    return CoefficientSequence(offset, tuple(m * complex(math.cos(ph), math.sin(ph))
+                                             for m, ph in polar))
+
+
+@given(_entries, st.integers(-20, 20), st.floats(-3.0, 3.0))
+@settings(max_examples=100, deadline=None)
+def test_product_matches_mp_oracle(polar, offset, t):
+    """Binary64 kernel vs the mpmath product at 30 digits, relative to |a|
+    (the scale of both entries, since |b| < |a|)."""
+    seq = _sequence(offset, polar)
+    a, b = product_on_grid_arrays(seq, np.array([t]))
+    a_mp, b_mp = (complex(x) for x in mp_product(seq, t))
+    assert abs(a[0] - a_mp) <= 1e-12 * abs(a_mp)
+    assert abs(b[0] - b_mp) <= 1e-12 * abs(a_mp)
+
+
+@given(_entries, st.integers(-20, 20), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_reversal_conjugates_a_and_keeps_b(polar, offset, t):
+    """Every factor M satisfies M = J M^T J for the antidiagonal flip J, so
+    multiplying in decreasing n maps (a, b) to (conj(a), b)."""
+    seq = _sequence(offset, polar)
+    a, b = product_on_grid_arrays(seq, np.array([t]))
+    a_rev, b_rev = reversed_order_product(seq, t)
+    assert abs(a_rev - np.conj(a[0])) <= 1e-12 * abs(a[0])
+    assert abs(b_rev - b[0]) <= 1e-12 * abs(a[0])
+
+
+def test_one_factor_kernel_and_one_phase_builder():
+    """The factor coefficients are computed in one place and the phases
+    e^{2 pi i n t} are built only by nft_core._phases (extended.py, the
+    independent oracle, is exempt)."""
+    root = Path(su11.__file__).parent
+    coeff, phase = "(1.0 - m) * (1.0 + m)", re.compile(r"np\.exp\(2j|cmath\.exp")
+    coeff_count, stray = 0, []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "extended.py":
+            continue
+        text = path.read_text()
+        coeff_count += text.count(coeff)
+        allowed = range(0)
+        if path.name == "nft_core.py":
+            fn = next(node for node in ast.parse(text).body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_phases")
+            allowed = range(fn.lineno, fn.end_lineno + 1)
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if phase.search(line) and lineno not in allowed:
+                stray.append(f"{path.name}:{lineno}")
+    assert coeff_count == 1
+    assert stray == []
 
 
 # ---------------------------------------------------------------------------
@@ -140,66 +207,71 @@ def test_su11_element_rejects_non_member():
 
 
 # ---------------------------------------------------------------------------
-# transform trace
+# truncations: partial products and the ledger's reduced rows
 
 
 def test_trace_single_entry():
-    tr = transform_trace(CoefficientSequence(0, (0.5,)), 0.0)
-    assert tr.n_first == -1
-    assert tr.partials[0].a == 1.0 and tr.partials[0].b == 0.0
-    assert tr.reduced[0] == (0j, 0j)
-    assert tr.partials[-1].a == pytest.approx(2 / math.sqrt(3), rel=1e-14)
-    # reduced final: b0 / A0 = F0
-    assert tr.reduced[-1][0] == pytest.approx(0.0, abs=1e-15)
-    assert tr.reduced[-1][1] == pytest.approx(0.5, rel=1e-14)
+    seq = CoefficientSequence(0, (0.5,))
+    red, lin = _TraceGrids(seq).level(4)
+    # row 0 is the empty truncation N = N_min - 1
+    assert np.all(red[0] == 0.0) and np.all(lin[0] == 0.0)
+    # reduced final: ra = 0, rb = b0 / A0 = F0, at every t
+    assert red[1] == pytest.approx(np.full(4, 0.5), rel=1e-14)
+    assert lin[1] == pytest.approx(np.full(4, 0.5), rel=1e-14)
+    a, _ = product_on_grid_arrays(seq, np.arange(4) / 4)
+    assert a == pytest.approx(np.full(4, 2 / math.sqrt(3)), rel=1e-14)
 
 
 def test_trace_two_half(two_half):
-    tr = transform_trace(two_half, 0.0)
-    assert tr.partials[-1].a == pytest.approx(5 / 3, rel=1e-13)
-    assert tr.partials[-1].b == pytest.approx(4 / 3, rel=1e-13)
-    assert tr.reduced[-1][0] == pytest.approx(0.25, rel=1e-13)
-    assert tr.reduced[-1][1] == pytest.approx(1.0, rel=1e-13)
+    a, b = product_on_grid_arrays(two_half, np.array([0.0]))
+    assert a[0] == pytest.approx(5 / 3, rel=1e-13)
+    assert b[0] == pytest.approx(4 / 3, rel=1e-13)
+    red, lin = _TraceGrids(two_half).level(2)
+    # t = 0: (ra, rb) = (1/4, 1); t = 1/2: (ra, rb) = (-1/4, 0)
+    assert red[2] == pytest.approx([1.25, 0.25], rel=1e-13)
+    assert lin[2] == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
-def test_trace_requires_nonzero():
-    with pytest.raises(EmptySequenceError):
-        transform_trace(CoefficientSequence(0, (0j,)), 0.1)
+def test_trace_requires_nonzero(quad):
+    with pytest.raises(ZeroSequenceError):
+        proof_ledger(CoefficientSequence(0, (0j,)), ExponentPair(1.5),
+                     CCParameters(1, 1, 1), quad)
 
 
 def test_trace_consistency_vs_matrix_oracle():
-    """Independent oracle: accumulate plain 2x2 complex matrices and check
-    the (a, b) recurrences, the reduced identity, and the final product,
-    at 200 random (F, t) draws."""
+    """Independent oracle: accumulate plain 2x2 complex matrices and check,
+    at every truncation N, the kernel's product of the truncated sequence
+    and the ledger's reduced rows |ra| + |rb| (ra = a / prod(A) - 1,
+    rb = b / prod(A)) and |sum_{n <= N} F_n e^{2 pi i n t}|, at 200 random
+    (F, t) draws."""
     rng = np.random.default_rng(20260808)
     for _ in range(200):
         seq = random_sequence_draw(rng, max_window=8)
         if seq.is_zero():
             continue
         t = float(rng.uniform(0, 1))
-        tr = transform_trace(seq, t)
+        ts = np.array([t])
+        red, lin = _TraceGrids(seq)._rows(ts)
+        assert red[0, 0] == 0.0 and lin[0, 0] == 0.0
 
+        entries = seq.window_entries()
         mat = np.eye(2, dtype=complex)
         prod_a = 1.0
-        k = 0
-        for n, v in seq.window_entries():
+        hat = 0j
+        for k, (n, v) in enumerate(entries, start=1):
             A = 1.0 / math.sqrt(1.0 - abs(v) ** 2)
             B = v * A
             e = np.exp(2j * np.pi * n * t)
             mat = mat @ np.array([[A, B * e], [np.conj(B * e), A]])
             prod_a *= A
-            k += 1
-            a_k, b_k = tr.partials[k].a, tr.partials[k].b
+            hat += v * e
+            truncated = CoefficientSequence(entries[0][0], tuple(w for _, w in entries[:k]))
+            a_k, b_k = (x[0] for x in product_on_grid_arrays(truncated, ts))
             assert abs(a_k - mat[0, 0]) <= 1e-12 * abs(mat[0, 0])
             assert abs(b_k - mat[0, 1]) <= 1e-12 * max(abs(mat[0, 1]), 1.0)
-            # reduced identity: ra = a / prod(A) - 1, rb = b / prod(A)
-            ra, rb = tr.reduced[k]
-            assert abs(ra - (a_k / prod_a - 1.0)) <= 1e-10 * max(1.0, abs(ra))
-            assert abs(rb - b_k / prod_a) <= 1e-10 * max(1.0, abs(rb))
-
-        el = evaluate_product(seq, t)
-        assert abs(tr.partials[-1].a - el.a) <= 1e-12 * abs(el.a)
-        assert abs(tr.partials[-1].b - el.b) <= 1e-12 * max(abs(el.b), 1.0)
+            reduced = abs(mat[0, 0] / prod_a - 1.0) + abs(mat[0, 1] / prod_a)
+            assert abs(red[k, 0] - reduced) <= 1e-10 * max(1.0, reduced)
+            assert abs(lin[k, 0] - abs(hat)) <= 1e-12 * max(1.0, abs(hat))
 
 
 # ---------------------------------------------------------------------------
@@ -232,42 +304,24 @@ def test_order_sensitivity():
 
 
 # ---------------------------------------------------------------------------
-# index map, linear transform
-
-
-def test_verblunsky_zero():
-    assert to_verblunsky(CoefficientSequence(0, (0j,))).is_zero()
-
-
-def test_verblunsky_shift():
-    seq = CoefficientSequence(1, (0.5,))  # F_1 = 1/2 only
-    out = to_verblunsky(seq)
-    assert out[0] == -0.5
-    assert out.support() == (0, 0)
-
-
-def test_verblunsky_two_entries():
-    seq = CoefficientSequence(0, (0.3j, 0.4))
-    out = to_verblunsky(seq)
-    assert out[-1] == -0.3j
-    assert out[0] == -0.4
-    assert out.support() == (-1, 0)
+# linear transform
 
 
 def test_linear_fourier_constant():
     seq = CoefficientSequence(0, (0.5,))
-    for t in (0.0, 0.3, 0.9):
-        assert linear_fourier_truncated(seq, None, t) == pytest.approx(0.5)
+    # the 10-point grid holds t = 0, 0.3 and 0.9
+    assert linear_fourier_on_grid(seq.window_entries(), 10) == pytest.approx(np.full(10, 0.5))
 
 
 def test_linear_fourier_cancellation(two_half):
-    val = linear_fourier_truncated(two_half, math.inf, 0.5)
+    val = linear_fourier_on_grid(two_half.window_entries(), 2)[1]  # t = 1/2
     assert abs(val) < 1e-15
 
 
 def test_linear_fourier_truncation_drops_tail(two_half):
-    for t in (0.1, 0.6):
-        assert linear_fourier_truncated(two_half, 0, t) == pytest.approx(0.5)
+    # the sum over n <= 0 only: the pairs are cut, not the grid
+    head = two_half.window_entries()[:1]
+    assert linear_fourier_on_grid(head, 10) == pytest.approx(np.full(10, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,25 @@ def test_multi_start_thread_count_invariance():
     assert seq_1.start_index == seq_4.start_index
 
 
+def test_multi_start_pool_failure_falls_back_visibly(monkeypatch, capsys):
+    import su11.extremizer_search as es
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("no semaphores here")
+
+    cfg = small_config(starts=3, max_iters=5)
+    e = ExponentPair(1.7)
+    ref = multi_start(e, cfg, workers=1)
+    capsys.readouterr()
+    monkeypatch.setattr(es, "ProcessPoolExecutor", refuse)
+    res = multi_start(e, cfg, workers=2)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "process pool unavailable" in err and "PermissionError" in err
+    assert "no semaphores here" in err
+    assert res == ref
+
+
 def test_multi_start_under_small_l1_obeys_bound():
     cfg = small_config(starts=3, max_iters=25, l1_cap=0.5)
     res = multi_start(ExponentPair(1.3), cfg)

@@ -15,7 +15,6 @@ from su11 import (
     lp_sequence_norm,
     lq_norm_periodic,
     nl_weight_sequence,
-    nl_weight_torus,
     parseval_residual,
 )
 from su11.nft_core import product_on_grid_arrays
@@ -82,20 +81,19 @@ def test_weight_dominates_modulus(seed):
 
 def test_weight_torus_zero_sequence():
     seq = CoefficientSequence(0, (0j,))
-    for t in (0.0, 0.25, 0.8):
-        assert nl_weight_torus(seq, t) == 0.0
+    assert np.all(WeightSampler(seq).on_grid(20) == 0.0)
 
 
 def test_weight_torus_single_spike_constant():
     seq = CoefficientSequence(0, (0.5,))
     expected = math.sqrt(math.log(4 / 3))
-    for t in (0.0, 0.3, 0.77):
-        assert nl_weight_torus(seq, t) == pytest.approx(expected, rel=1e-13)
+    # the 100-point grid holds t = 0, 0.3 and 0.77
+    assert WeightSampler(seq).on_grid(100) == pytest.approx(np.full(100, expected), rel=1e-13)
 
 
 def test_weight_torus_vanishes_at_weight_zero(two_half):
     # |a(1/2)| = 1; the b-route evaluation leaves only float residue
-    assert nl_weight_torus(two_half, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert WeightSampler(two_half).on_grid(2)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
