@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, PreconditionFailed, ZeroSequenceError
@@ -33,14 +33,6 @@ from .extremizer_search import SearchConfig, multi_start, p_sweep
 from . import verification as vf
 
 MODES = ("verify", "ratio", "ledger", "search", "sweep", "probe")
-
-_CONFIG_KEYS = {
-    "mode", "input", "generator", "output", "seed", "p", "p_values",
-    "rel_tol", "initial_grid", "max_grid", "cc", "l1_cap", "window",
-    "starts", "max_iters", "init_step", "shrink", "scales", "draws",
-    "t_samples", "workers",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -77,6 +69,9 @@ class ExperimentConfig:
         keys = sorted(k for k in vars(self) if k != "overrides")
         blob = repr([(k, getattr(self, k)) for k in keys])
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"overrides"}
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -227,20 +222,21 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.output) if cfg.output else Path("su11-reports")
 
 
-def _dump_counterexamples(cfg: ExperimentConfig, reports) -> Path:
+def _counterexample_exit(cfg: ExperimentConfig, failures: dict) -> int:
+    """Write counterexample.json, print its path and return exit code 2.
+
+    ``failures`` maps each failing suite's name to its counterexamples.
+    """
     path = _out_dir(cfg) / "counterexample.json"
     payload = {
         "config_digest": cfg.digest(),
         "seed": cfg.seed,
-        "failures": [
-            {"suite": r.name, "failures": r.failures}
-            for r in reports
-            if not r.passed
-        ],
+        "failures": [{"suite": name, "failures": f} for name, f in failures.items()],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    print(f"counterexample dump: {path}")
+    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +261,9 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     emit_report([r.to_dict() for r in reports], "json", out / "verify.json")
     if not all(r.passed for r in reports):
-        path = _dump_counterexamples(cfg, reports)
-        print(f"counterexample dump: {path}")
-        return 2
+        return _counterexample_exit(
+            cfg, {r.name: r.failures for r in reports if not r.passed}
+        )
     return 0
 
 
@@ -298,11 +294,10 @@ def _run_ledger(cfg: ExperimentConfig) -> int:
     emit_report(entries, "json", out / "ledger.json")
     violated = [e for e in entries if not e.holds and not e.precondition_failed]
     if violated:
-        rep = vf.SuiteReport("ledger", cfg.seed)
-        for e in violated:
-            rep.fail(F=seq.to_json_dict(), check=e.check_id, margin=e.margin)
-        print(f"counterexample dump: {_dump_counterexamples(cfg, [rep])}")
-        return 2
+        return _counterexample_exit(cfg, {"ledger": [
+            {"F": seq.to_json_dict(), "check": e.check_id, "margin": e.margin}
+            for e in violated
+        ]})
     return 0
 
 
@@ -335,15 +330,12 @@ def _run_search(cfg: ExperimentConfig) -> int:
     seq_path = out / "best_F.txt"
     seq_path.parent.mkdir(parents=True, exist_ok=True)
     seq_path.write_text(sequence_to_text(res.best_F))
-    if res.trace:
-        emit_report([(i, r) for i, r in res.trace], "plot", out / "search_trace.dat")
     # under the small-l1 hypothesis a bound violation is a counterexample
     if scfg.l1_cap <= 0.5 and _violates_small_bound(res.best_F, res.best_ratio):
-        rep = vf.SuiteReport("search", cfg.seed)
-        rep.fail(F=res.best_F.to_json_dict(), p=cfg.p, ratio=res.best_ratio,
-                 kind="small-sequence bound violated")
-        print(f"counterexample dump: {_dump_counterexamples(cfg, [rep])}")
-        return 2
+        return _counterexample_exit(cfg, {"search": [
+            {"F": res.best_F.to_json_dict(), "p": cfg.p, "ratio": res.best_ratio,
+             "kind": "small-sequence bound violated"}
+        ]})
     return 0
 
 
@@ -359,11 +351,10 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
     bad = [r for r in rows if cfg.l1_cap <= 0.5
            and _violates_small_bound(r.best_F, r.best_ratio)]
     if bad:
-        rep = vf.SuiteReport("sweep", cfg.seed)
-        for r in bad:
-            rep.fail(F=r.best_F.to_json_dict(), p=r.p, ratio=r.best_ratio)
-        print(f"counterexample dump: {_dump_counterexamples(cfg, [rep])}")
-        return 2
+        return _counterexample_exit(cfg, {"sweep": [
+            {"F": r.best_F.to_json_dict(), "p": r.p, "ratio": r.best_ratio}
+            for r in bad
+        ]})
     return 0
 
 
@@ -380,10 +371,9 @@ def _run_probe(cfg: ExperimentConfig) -> int:
     )
     emit_report(list(zip(probe.scales, probe.deviations)), "plot", out / "probe.dat")
     if probe.slope < 2.0 - 0.1:
-        rep = vf.SuiteReport("probe", cfg.seed)
-        rep.fail(F=seq.to_json_dict(), slope=probe.slope)
-        print(f"counterexample dump: {_dump_counterexamples(cfg, [rep])}")
-        return 2
+        return _counterexample_exit(
+            cfg, {"probe": [{"F": seq.to_json_dict(), "slope": probe.slope}]}
+        )
     return 0
 
 

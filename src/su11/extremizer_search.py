@@ -17,13 +17,13 @@ import hashlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ZeroSequenceError
 from .nft_core import CoefficientSequence, sequence_to_text, _fold, _log_a_sq, _phases
-from .spectral_norms import ExponentPair, QuadratureConfig, _pow_q
+from .spectral_norms import ExponentPair, QuadratureConfig, lq_norm_periodic
 from .inequality_harness import hy_ratio
 
 _ENTRY_CAP = 1.0 - 1e-12
@@ -127,24 +127,22 @@ def _project(vals: np.ndarray, l1_cap: float) -> np.ndarray:
 class _WalkEvaluator:
     """Coarse-tolerance ratio evaluations for the inner loop of the walk.
 
-    Runs the same product fold and trapezoid refinement as the canonical
-    path, but on raw arrays with the per-index phase tables precomputed
-    once, since every candidate shares the window.  The walk's
-    final answer is always re-certified through hy_ratio at full tolerance.
+    The torus side refines through ``lq_norm_periodic`` at the walk's
+    tolerance ``quad``, like every other norm.  The level function is the
+    walk's own: every candidate shares the window, so it keeps one table of
+    per-index phase rows per grid, where a fresh ``WeightSampler`` per
+    candidate would rebuild every phase row for every candidate.  The
+    walk's final answer is always re-certified through hy_ratio at full
+    tolerance.
     """
 
     def __init__(self, offset: int, count: int, exponents: ExponentPair,
-                 rel_tol: float, max_grid: int, initial_grid: int = 256):
+                 quad: QuadratureConfig):
         self.offset = offset
         self.count = count
         self.q = exponents.q
         self.p = exponents.p
-        self.rel_tol = rel_tol
-        self.grids = []
-        grid = min(initial_grid, max_grid)
-        while grid <= max_grid:
-            self.grids.append(grid)
-            grid *= 2
+        self.quad = quad
         self._phase: dict[int, np.ndarray] = {}
 
     def _phase_table(self, grid: int) -> np.ndarray:
@@ -155,24 +153,19 @@ class _WalkEvaluator:
             self._phase[grid] = tab
         return tab
 
-    def _lhs_on_grid(self, vals: np.ndarray, grid: int) -> float:
+    def _lhs_on_grid(self, vals: np.ndarray, grid: int) -> np.ndarray:
+        """The weight (log|a|^2)^(1/2) of ``vals`` at the points j / grid."""
         # row k of the table is the phase of entry k
         _, b = _fold(enumerate(vals), self._phase_table(grid).__getitem__, grid)
-        w = np.sqrt(np.log1p(np.abs(b) ** 2))
-        mean = float(np.mean(_pow_q(w, self.q)))
-        return mean ** (1.0 / self.q) if mean > 0 else 0.0
+        return np.sqrt(np.log1p(np.abs(b) ** 2))
 
     def ratio(self, vals: np.ndarray) -> float:
+        # summed here rather than by lp_sequence_norm, which rounds
+        # differently; the walk's r > best test is decided in the last bits
         weights = [math.sqrt(_log_a_sq(abs(v))) for v in vals if v != 0]
         rhs = float(np.sum(np.asarray(weights) ** self.p)) ** (1.0 / self.p)
-        prev = None
-        lhs = 0.0
-        for grid in self.grids:
-            lhs = self._lhs_on_grid(vals, grid)
-            if prev is not None and abs(lhs - prev) <= self.rel_tol * max(lhs, 1e-300):
-                break
-            prev = lhs
-        return lhs / rhs
+        lhs = lq_norm_periodic(lambda grid: self._lhs_on_grid(vals, grid), self.q, self.quad)
+        return lhs.value / rhs
 
 
 def local_search(
@@ -193,12 +186,10 @@ def local_search(
         raise ZeroSequenceError("local_search needs a nonzero start")
     offset = start.offset
     vals = np.array(start.values, dtype=complex)
-    coarse = _WalkEvaluator(
-        offset, vals.size, exponents,
-        rel_tol=max(cfg.coarse_rel_tol, cfg.quadrature.rel_tol),
-        max_grid=cfg.quadrature.max_grid,
-        initial_grid=cfg.quadrature.initial_grid,
+    walk_quad = replace(
+        cfg.quadrature, rel_tol=max(cfg.coarse_rel_tol, cfg.quadrature.rel_tol)
     )
+    coarse = _WalkEvaluator(offset, vals.size, exponents, walk_quad)
     best = coarse.ratio(vals)
     trace = [(0, best)] if keep_trace else None
     step = cfg.init_step

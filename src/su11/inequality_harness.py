@@ -33,7 +33,6 @@ from .spectral_norms import (
     NormResult,
     QuadratureConfig,
     WeightSampler,
-    _RowView,
     _refined_level,
     lp_sequence_norm,
     lq_norm_periodic,
@@ -230,7 +229,7 @@ def hy_ratio(
     _require_nonzero(seq)
     if sampler is None:
         sampler = WeightSampler(seq)
-    lhs = lq_norm_periodic(sampler, exponents.q, cfg)
+    lhs = lq_norm_periodic(sampler.on_grid, exponents.q, cfg)
     rhs = weight_rhs(seq, exponents.p)
     return HyReport(
         exponents=exponents,
@@ -253,8 +252,9 @@ def linear_hy_margin(
     arr = np.asarray(list(values), dtype=complex)
     if arr.size == 0 or not np.any(arr != 0):
         raise ZeroSequenceError("linear ratio undefined for the zero sequence")
-    abs_hat = _RowView(lambda grid: np.abs(linear_fourier_on_grid(enumerate(arr), grid)))
-    lhs = lq_norm_periodic(abs_hat, exponents.q, cfg)
+    lhs = lq_norm_periodic(
+        lambda grid: np.abs(linear_fourier_on_grid(enumerate(arr), grid)), exponents.q, cfg
+    )
     rhs = lp_sequence_norm(np.abs(arr), exponents.p)
     margin = rhs - lhs.value
     return HyReport(
@@ -540,10 +540,11 @@ def proof_ledger(
     )
 
     # Row norms under shared refinement
-    red_norms = [lq_norm_periodic(_RowView(grids.level, (_RED, k)), q, cfg)
-                 for k in range(n_rows)]
-    lin_norms = [lq_norm_periodic(_RowView(grids.level, (_LIN, k)), q, cfg)
-                 for k in range(n_rows)]
+    def row_norm(side: int, k: int) -> NormResult:
+        return lq_norm_periodic(lambda grid: grids.level(grid)[side, k], q, cfg)
+
+    red_norms = [row_norm(_RED, k) for k in range(n_rows)]
+    lin_norms = [row_norm(_LIN, k) for k in range(n_rows)]
     conv = all(r.converged for r in red_norms + lin_norms)
     red_vals = np.array([r.value for r in red_norms])
     lin_vals = np.array([r.value for r in lin_norms])
@@ -586,11 +587,11 @@ def proof_ledger(
         )
 
     # L6: weight norm <= ||b||_q <= prod_a ||F||_p / (1 - l1)
-    w_norm = lq_norm_periodic(sampler, q, cfg)
+    w_norm = lq_norm_periodic(sampler.on_grid, q, cfg)
     if l1 >= 1.0:
         out.append(_skipped("L6", f"l1={l1!r} >= 1"))
     else:
-        b_norm = lq_norm_periodic(_RowView(sampler.b_abs_on_grid), q, cfg)
+        b_norm = lq_norm_periodic(sampler.b_abs_on_grid, q, cfg)
         cap6 = prod_a * lp_f / (1.0 - l1)
         m_a = b_norm.value - w_norm.value
         m_b = cap6 - b_norm.value

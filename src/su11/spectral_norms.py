@@ -87,30 +87,6 @@ class NormResult:
 # sampling helpers
 
 
-class _FunctionSampler:
-    """Adapts a callable f(t) to the on_grid protocol used by the engines.
-
-    f may be vectorized over numpy arrays; plain scalar callables are looped.
-    """
-
-    def __init__(self, f):
-        self._f = f
-        self._cache: dict[int, np.ndarray] = {}
-
-    def on_grid(self, grid_size: int) -> np.ndarray:
-        out = self._cache.get(grid_size)
-        if out is None:
-            ts = np.arange(grid_size, dtype=float) / grid_size
-            try:
-                out = np.asarray(self._f(ts), dtype=float)
-                if out.shape != ts.shape:
-                    raise TypeError
-            except TypeError:
-                out = np.array([float(self._f(float(t))) for t in ts])
-            self._cache[grid_size] = out
-        return out
-
-
 def _refined_level(cache: dict, grid_size: int, fresh) -> np.ndarray:
     """``cache[grid_size]``, computed on a miss from ``fresh(ts)``.
 
@@ -132,19 +108,6 @@ def _refined_level(cache: dict, grid_size: int, fresh) -> np.ndarray:
             out[..., 1::2] = odd
         cache[grid_size] = out
     return out
-
-
-class _RowView:
-    """on_grid view of ``table(M)[index]`` for a per-grid sample table."""
-
-    __slots__ = ("table", "index")
-
-    def __init__(self, table, index=...):
-        self.table = table
-        self.index = index
-
-    def on_grid(self, grid_size: int) -> np.ndarray:
-        return self.table(grid_size)[self.index]
 
 
 class WeightSampler:
@@ -190,10 +153,6 @@ class WeightSampler:
         return out
 
 
-def _as_sampler(f):
-    return f if hasattr(f, "on_grid") else _FunctionSampler(f)
-
-
 def _pow_q(x: np.ndarray, q: float) -> np.ndarray:
     """x^q for x >= 0 via exp(q log x), with x = 0 short-circuited to 0."""
     out = np.zeros_like(x)
@@ -202,14 +161,28 @@ def _pow_q(x: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def _refine(sampler, statistic, cfg: QuadratureConfig) -> NormResult:
-    """Double the grid until two successive statistics agree to rel_tol."""
+def _refine(level, statistic, cfg: QuadratureConfig) -> NormResult:
+    """Double the grid until two successive statistics agree to rel_tol.
+
+    ``level(M)`` returns the M samples of the integrand at t = j / M as an
+    array of shape (M,); any other result raises TypeError, so a function of
+    t passed by mistake fails instead of yielding a wrong norm.  This is the
+    only refinement loop: every torus norm, the search walk's included, runs
+    through it.
+    """
+
+    def stat(grid: int) -> float:
+        samples = level(grid)
+        if not isinstance(samples, np.ndarray) or samples.shape != (grid,):
+            raise TypeError(f"level({grid}) must return an array of shape ({grid},)")
+        return statistic(samples)
+
     grid = cfg.initial_grid
-    value = statistic(sampler.on_grid(grid))
+    value = stat(grid)
     history = []
     est = math.inf
     while 2 * grid <= cfg.max_grid:
-        nxt = statistic(sampler.on_grid(2 * grid))
+        nxt = stat(2 * grid)
         est = abs(nxt - value) / max(abs(nxt), _TINY)
         history.append((grid, nxt, est))
         if est <= cfg.rel_tol:
@@ -230,25 +203,24 @@ def nl_weight_sequence(seq: CoefficientSequence) -> np.ndarray:
     return np.sqrt([_log_a_sq(m) for m in seq.moduli()])
 
 
-def lq_norm_periodic(f, q: float, cfg: QuadratureConfig) -> NormResult:
+def lq_norm_periodic(level, q: float, cfg: QuadratureConfig) -> NormResult:
     """(integral of f^q over one period)^(1/q) by refining trapezoid sums.
 
-    ``f`` is a nonnegative periodic function on [0, 1): either a callable
-    (vectorized over numpy arrays or scalar) or any object exposing
-    ``on_grid(M)`` returning its samples at j / M.  ``q = inf`` uses the
+    ``f`` is a nonnegative periodic function on [0, 1), given by its grid
+    levels: ``level(M)`` returns the array of the M samples f(j / M), as
+    ``WeightSampler.on_grid`` does (see ``_refine``).  ``q = inf`` uses the
     sampled maximum, with one refinement doubling as the error estimate.
     """
     if q != math.inf and q < 1.0:
         raise ValueError(f"q = {q!r} must be >= 1")
-    sampler = _as_sampler(f)
     if q == math.inf:
-        return _refine(sampler, lambda s: float(np.max(s)) if s.size else 0.0, cfg)
+        return _refine(level, lambda s: float(np.max(s)) if s.size else 0.0, cfg)
 
     def stat(samples: np.ndarray) -> float:
         mean = float(np.mean(_pow_q(samples, q)))
         return mean ** (1.0 / q) if mean > 0 else 0.0
 
-    return _refine(sampler, stat, cfg)
+    return _refine(level, stat, cfg)
 
 
 def lp_sequence_norm(w, p: float) -> float:
@@ -270,22 +242,18 @@ def lp_sequence_norm(w, p: float) -> float:
 
 
 def parseval_residual(
-    seq: CoefficientSequence, cfg: QuadratureConfig, full_output: bool = False
-):
-    """Integral of log|a(t)|^2 minus the sum of log A_n^2.
+    seq: CoefficientSequence, cfg: QuadratureConfig
+) -> tuple[float, NormResult]:
+    """Integral of log|a(t)|^2 minus the sum of log A_n^2, with the
+    NormResult of the integral side.
 
     The two sides agree identically for every finitely supported sequence;
-    the returned residual measures quadrature and rounding error only, and
-    stays below 1e-9 for well-resolved inputs.  With ``full_output`` the
-    NormResult of the integral side is returned as well.
+    the residual measures quadrature and rounding error only, and stays
+    below 1e-9 for well-resolved inputs.
     """
-    logsq = _RowView(WeightSampler(seq).logsq_on_grid)
-    integral = _refine(logsq, lambda s: float(np.mean(s)), cfg)
+    integral = _refine(WeightSampler(seq).logsq_on_grid, lambda s: float(np.mean(s)), cfg)
     seq_side = float(sum(_log_a_sq(m) for m in seq.moduli()))
-    residual = integral.value - seq_side
-    if full_output:
-        return residual, integral
-    return residual
+    return integral.value - seq_side, integral
 
 
 def frequency_support(

@@ -159,21 +159,47 @@ def test_reversal_conjugates_a_and_keeps_b(polar, offset, t):
     assert abs(b_rev - b[0]) <= 1e-12 * abs(a[0])
 
 
+def _convergence_tests(node):
+    """Comparisons that mention rel_tol and no literal operand (the
+    validation ``rel_tol > 0`` is not a convergence test)."""
+    found = []
+    for cmp in ast.walk(node):
+        if not isinstance(cmp, ast.Compare):
+            continue
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(cmp)}
+        operands = [cmp.left, *cmp.comparators]
+        if "rel_tol" in names and not any(isinstance(o, ast.Constant) for o in operands):
+            found.append(cmp)
+    return found
+
+
 def test_one_factor_kernel_and_one_phase_builder():
     """The factor coefficients are computed in one place and the phases
     e^{2 pi i n t} are built only by nft_core._phases (extended.py, the
-    independent oracle, is exempt)."""
+    independent oracle, is exempt).  Only spectral_norms._refine tests
+    convergence, and WeightSampler is the only sampler class."""
     root = Path(su11.__file__).parent
     coeff, phase = "(1.0 - m) * (1.0 + m)", re.compile(r"np\.exp\(2j|cmath\.exp")
     coeff_count, stray = 0, []
+    convergence, in_refine, samplers = 0, 0, []
     for path in sorted(root.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        convergence += len(_convergence_tests(tree))
+        samplers += [f"{path.name}:{cls.name}" for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef)
+                     and any(isinstance(f, ast.FunctionDef) and f.name == "on_grid"
+                             for f in cls.body)]
+        if path.name == "spectral_norms.py":
+            refine = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_refine")
+            in_refine = len(_convergence_tests(refine))
         if path.name == "extended.py":
             continue
-        text = path.read_text()
         coeff_count += text.count(coeff)
         allowed = range(0)
         if path.name == "nft_core.py":
-            fn = next(node for node in ast.parse(text).body
+            fn = next(node for node in tree.body
                       if isinstance(node, ast.FunctionDef) and node.name == "_phases")
             allowed = range(fn.lineno, fn.end_lineno + 1)
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -181,6 +207,8 @@ def test_one_factor_kernel_and_one_phase_builder():
                 stray.append(f"{path.name}:{lineno}")
     assert coeff_count == 1
     assert stray == []
+    assert in_refine >= 1 and convergence == in_refine
+    assert samplers == ["spectral_norms.py:WeightSampler"]
 
 
 # ---------------------------------------------------------------------------

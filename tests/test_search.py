@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from su11 import (
     random_sequence,
 )
 from su11.extremizer_search import _WalkEvaluator, _rng_for_start, sequence_digest
+from su11.nft_core import _log_a_sq
+from su11.spectral_norms import WeightSampler, lq_norm_periodic
 
 FAST_QUAD = QuadratureConfig(initial_grid=128, max_grid=2**16, rel_tol=1e-8)
 
@@ -28,10 +32,34 @@ def test_walk_evaluator_matches_canonical_ratio():
         seq = CoefficientSequence(0, tuple(vals))
         if seq.is_zero():
             continue
-        ev = _WalkEvaluator(0, n, e, rel_tol=1e-7, max_grid=2**16)
+        ev = _WalkEvaluator(0, n, e, QuadratureConfig(max_grid=2**16, rel_tol=1e-7))
         fast = ev.ratio(np.array(vals))
         slow = hy_ratio(seq, e, QuadratureConfig()).ratio
         assert abs(fast - slow) <= 1e-6 * max(1.0, slow)
+
+
+def test_walk_ratio_is_the_sampler_quadrature_bit_for_bit():
+    """The walk's cached phase table and the sampler's odd-point levels give
+    the same torus norm to the last bit, so the walk ranks candidates by the
+    canonical lhs over the walk's own rhs."""
+    rng = np.random.default_rng(20260808)
+    walk_quad = QuadratureConfig(initial_grid=64, max_grid=2**16, rel_tol=1e-7)
+    mismatches = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        vals = rng.uniform(0, 0.12, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        vals[rng.uniform(size=n) < 0.15] = 0
+        if not np.any(vals != 0):
+            continue
+        offset = int(rng.integers(-5, 6))
+        e = ExponentPair(float(rng.uniform(1.05, 1.95)))
+        seq = CoefficientSequence(offset, tuple(vals))
+        weights = [math.sqrt(_log_a_sq(abs(v))) for v in vals if v != 0]
+        rhs = float(np.sum(np.asarray(weights) ** e.p)) ** (1.0 / e.p)
+        lhs = lq_norm_periodic(WeightSampler(seq).on_grid, e.q, walk_quad)
+        ratio = _WalkEvaluator(offset, n, e, walk_quad).ratio(vals)
+        mismatches += ratio != lhs.value / rhs
+    assert mismatches == 0
 
 
 def small_config(**kw):

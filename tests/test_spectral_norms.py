@@ -101,37 +101,48 @@ def test_weight_torus_vanishes_at_weight_zero(two_half):
 
 
 def test_lq_constant_certifies_on_initial_grid(quad):
-    res = lq_norm_periodic(lambda ts: np.full_like(ts, 0.7), 2.0, quad)
+    res = lq_norm_periodic(lambda M: np.full(M, 0.7), 2.0, quad)
     assert res.value == pytest.approx(0.7, rel=1e-14)
     assert res.grid_used == quad.initial_grid
     assert res.converged
 
 
+def _grid(M):
+    return np.arange(M, dtype=float) / M
+
+
 def test_lq_abs_sine(quad):
-    res = lq_norm_periodic(lambda ts: np.abs(np.sin(2 * np.pi * ts)), 2.0, quad)
+    res = lq_norm_periodic(lambda M: np.abs(np.sin(2 * np.pi * _grid(M))), 2.0, quad)
     assert res.value == pytest.approx(1 / math.sqrt(2), rel=1e-10)
 
 
 def test_lq_weight_fixture_vs_dense_reference(two_half, quad):
-    res = lq_norm_periodic(WeightSampler(two_half), 3.0, quad)
+    res = lq_norm_periodic(WeightSampler(two_half).on_grid, 3.0, quad)
     assert res.value == pytest.approx(W3_TWO_HALF, abs=1e-8)
     assert res.converged
 
 
-def test_lq_scalar_callable_fallback(quad):
-    res = lq_norm_periodic(lambda t: 0.25, 3.0, quad)
-    assert res.value == pytest.approx(0.25, rel=1e-12)
+@pytest.mark.parametrize("stale", [
+    lambda t: 0.25,
+    lambda ts: np.abs(np.sin(2 * np.pi * ts)),
+    lambda ts: np.full_like(ts, 0.7),
+])
+def test_lq_function_of_t_raises_type_error(stale, quad):
+    """A function of t handed in where a grid level belongs is an error,
+    not a norm of its values at the integers."""
+    with pytest.raises(TypeError):
+        lq_norm_periodic(stale, 3.0, quad)
 
 
 def test_lq_sup_norm(quad):
-    res = lq_norm_periodic(lambda ts: np.abs(np.sin(2 * np.pi * ts)), math.inf, quad)
+    res = lq_norm_periodic(lambda M: np.abs(np.sin(2 * np.pi * _grid(M))), math.inf, quad)
     assert res.value == pytest.approx(1.0, abs=1e-4)
     assert res.value <= 1.0  # grid max never overshoots the sup
 
 
 def test_lq_no_convergence_flag():
     cfg = QuadratureConfig(initial_grid=4, max_grid=8, rel_tol=1e-16)
-    rough = lambda ts: np.abs(np.sin(2 * np.pi * ts)) ** 0.3
+    rough = lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3
     res = lq_norm_periodic(rough, 1.0, cfg)
     assert not res.converged
     assert res.grid_used == 8
@@ -191,11 +202,11 @@ def test_lp_nesting_monotone(seed):
 
 
 def test_parseval_zero_sequence(quad):
-    assert parseval_residual(CoefficientSequence(0, (0j,)), quad) == 0.0
+    assert parseval_residual(CoefficientSequence(0, (0j,)), quad)[0] == 0.0
 
 
 def test_parseval_fixture_closed_form(two_half, quad):
-    res, detail = parseval_residual(two_half, quad, full_output=True)
+    res, detail = parseval_residual(two_half, quad)
     assert abs(res) <= 1e-10
     assert detail.value == pytest.approx(2 * math.log(4 / 3), abs=1e-10)
     assert detail.converged
@@ -207,7 +218,7 @@ def test_parseval_random_draws(quad):
         seq = random_sequence_draw(rng, max_window=10)
         if seq.is_zero():
             continue
-        assert abs(parseval_residual(seq, quad)) <= 1e-9
+        assert abs(parseval_residual(seq, quad)[0]) <= 1e-9
 
 
 def test_refinement_estimates_shrink_statistically(quad):
@@ -219,7 +230,7 @@ def test_refinement_estimates_shrink_statistically(quad):
         seq = random_sequence_draw(rng, max_window=10)
         if seq.is_zero():
             continue
-        _, detail = parseval_residual(seq, quad, full_output=True)
+        _, detail = parseval_residual(seq, quad)
         ests = [h[2] for h in detail.history]
         for prev, nxt in zip(ests[:-1], ests[1:]):
             if max(prev, nxt) < 1e-14:
