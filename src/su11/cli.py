@@ -66,7 +66,9 @@ class ExperimentConfig:
         return CCParameters(*self.cc)
 
     def digest(self) -> str:
-        keys = sorted(k for k in vars(self) if k != "overrides")
+        """Names the experiment, not where its reports go: ``output`` (and
+        the ``overrides`` bookkeeping) are left out."""
+        keys = sorted(k for k in vars(self) if k not in ("output", "overrides"))
         blob = repr([(k, getattr(self, k)) for k in keys])
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

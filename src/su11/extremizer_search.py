@@ -22,7 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ZeroSequenceError
-from .nft_core import CoefficientSequence, sequence_to_text, _fold, _log_a_sq, _phases
+from .nft_core import (
+    CoefficientSequence, sequence_to_text, _fold, _fold_rows, _log_a_sq, _phases,
+)
 from .spectral_norms import ExponentPair, QuadratureConfig, lq_norm_periodic
 from .inequality_harness import hy_ratio
 
@@ -60,7 +62,6 @@ class SearchResult:
     exponents: ExponentPair
     iters_used: int
     start_index: int
-    trace: tuple[tuple[int, float], ...] | None = None
 
     def to_dict(self, config: SearchConfig | None = None) -> dict:
         d = {
@@ -71,8 +72,6 @@ class SearchResult:
             "iters_used": self.iters_used,
             "start_index": self.start_index,
         }
-        if self.trace is not None:
-            d["trace"] = [list(x) for x in self.trace]
         if config is not None:
             d["seed"] = config.seed
             d["config_digest"] = config_digest(config)
@@ -131,9 +130,17 @@ class _WalkEvaluator:
     tolerance ``quad``, like every other norm.  The level function is the
     walk's own: every candidate shares the window, so it keeps one table of
     per-index phase rows per grid, where a fresh ``WeightSampler`` per
-    candidate would rebuild every phase row for every candidate.  The
-    walk's final answer is always re-certified through hy_ratio at full
-    tolerance.
+    candidate would rebuild every phase row for every candidate.
+
+    ``speculate(cands)`` announces the candidates the walk is about to try
+    on one coordinate.  On the next level request they are folded together,
+    as one ``(rows, 2 * initial_grid)`` batch through ``_fold_rows``; the
+    even columns of that batch are the ``initial_grid`` level, since
+    ``2j / 2M`` and ``j / M`` round to the same double.  ``ratio(vals)``
+    then reads those two levels from the batch, bit-identical to folding
+    ``vals`` alone, and folds a third level by itself only when ``_refine``
+    asks for one.  The walk's final answer is always re-certified through
+    hy_ratio at full tolerance.
     """
 
     def __init__(self, offset: int, count: int, exponents: ExponentPair,
@@ -144,6 +151,8 @@ class _WalkEvaluator:
         self.p = exponents.p
         self.quad = quad
         self._phase: dict[int, np.ndarray] = {}
+        self._pending: list[np.ndarray] = []
+        self._levels: dict[tuple[bytes, int], np.ndarray] = {}
 
     def _phase_table(self, grid: int) -> np.ndarray:
         tab = self._phase.get(grid)
@@ -153,8 +162,29 @@ class _WalkEvaluator:
             self._phase[grid] = tab
         return tab
 
+    def speculate(self, cands: list[np.ndarray]) -> None:
+        """Fold the first two levels of ``cands`` together on the next level
+        request; levels of earlier candidates are dropped."""
+        self._pending = cands
+        self._levels = {}
+
+    def _fold_pending(self) -> None:
+        grid = 2 * self.quad.initial_grid
+        _, b = _fold_rows(np.array(self._pending), self._phase_table(grid).__getitem__, grid)
+        weights = np.sqrt(np.log1p(np.abs(b) ** 2))
+        for cand, row in zip(self._pending, weights):
+            key = cand.tobytes()
+            self._levels[key, grid] = row
+            self._levels[key, grid // 2] = row[::2]
+        self._pending = []
+
     def _lhs_on_grid(self, vals: np.ndarray, grid: int) -> np.ndarray:
         """The weight (log|a|^2)^(1/2) of ``vals`` at the points j / grid."""
+        if self._pending:
+            self._fold_pending()
+        level = self._levels.get((vals.tobytes(), grid))
+        if level is not None:
+            return level
         # row k of the table is the phase of entry k
         _, b = _fold(enumerate(vals), self._phase_table(grid).__getitem__, grid)
         return np.sqrt(np.log1p(np.abs(b) ** 2))
@@ -173,10 +203,15 @@ def local_search(
     exponents: ExponentPair,
     cfg: SearchConfig,
     start_index: int = -1,
-    keep_trace: bool = True,
 ) -> SearchResult:
     """Hill-climb the ratio by axis steps on one coordinate at a time.
 
+    On coordinate k the walk tries the steps +s, -s, +is, -is in turn and
+    accepts each one that beats the running best (Gauss-Seidel: a later
+    step starts from the accepted point).  The steps not yet tried are
+    speculated from the current point and evaluated as one batch; after an
+    acceptance the remaining ones are stale and are rebuilt from the new
+    point, so the trajectory is the one-at-a-time walk's, bit for bit.
     Every full sweep without an accepted move shrinks the step; the walk
     stops after ``max_iters`` sweeps or once the step drops below 1e-12.
     The returned ratio is re-evaluated at the full quadrature tolerance and
@@ -191,25 +226,30 @@ def local_search(
     )
     coarse = _WalkEvaluator(offset, vals.size, exponents, walk_quad)
     best = coarse.ratio(vals)
-    trace = [(0, best)] if keep_trace else None
     step = cfg.init_step
     sweeps = 0
     while sweeps < cfg.max_iters and step >= _MIN_STEP:
         improved = False
+        deltas = (step, -step, 1j * step, -1j * step)
         for k in range(vals.size):
-            for delta in (step, -step, 1j * step, -1j * step):
-                cand = vals.copy()
-                cand[k] += delta
-                cand = _project(cand, cfg.l1_cap)
-                if not np.any(cand != 0):
-                    continue
-                r = coarse.ratio(cand)
-                if r > best:
-                    best, vals = r, cand
-                    improved = True
+            tried = 0
+            while tried < len(deltas):
+                cands = []
+                for delta in deltas[tried:]:
+                    cand = vals.copy()
+                    cand[k] += delta
+                    cands.append(_project(cand, cfg.l1_cap))
+                coarse.speculate(cands)
+                for cand in cands:
+                    tried += 1
+                    if not np.any(cand != 0):
+                        continue
+                    r = coarse.ratio(cand)
+                    if r > best:
+                        best, vals = r, cand
+                        improved = True
+                        break
         sweeps += 1
-        if keep_trace and improved:
-            trace.append((sweeps, best))
         if not improved:
             step *= cfg.shrink
     final_seq = CoefficientSequence(offset, tuple(vals))
@@ -223,7 +263,6 @@ def local_search(
         exponents=exponents,
         iters_used=sweeps,
         start_index=start_index,
-        trace=tuple(trace) if keep_trace else None,
     )
 
 
@@ -237,7 +276,7 @@ def _one_start(args):
         vals = [0j] * (cfg.window[1] - cfg.window[0] + 1)
         vals[mid - cfg.window[0]] = 0.5 * cfg.l1_cap
         start = CoefficientSequence(cfg.window[0], tuple(vals))
-    return local_search(start, exponents, cfg, start_index=idx, keep_trace=False)
+    return local_search(start, exponents, cfg, start_index=idx)
 
 
 def multi_start(

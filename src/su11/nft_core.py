@@ -15,6 +15,8 @@ across threads.  Every binary64 product in the package, on a grid or at one
 t and in any factor order, runs through the one fold ``_fold`` with phase
 rows from ``_phases``; the grid entry point ``product_on_grid_arrays(F, ts)``
 at ``ts[j]`` and the scalar ``evaluate_product(F, ts[j])`` agree bit for bit.
+``_fold_rows`` folds several sequences at once with the same step
+``_step``, each row bit-identical to its own ``_fold``.
 """
 
 from __future__ import annotations
@@ -203,7 +205,13 @@ def _log_a_sq(mod: float) -> float:
 
 
 def _factor(v) -> tuple[float, complex]:
-    """(A_n, B_n) = ((1 - |F_n|^2)^(-1/2), F_n A_n) for one entry F_n = v."""
+    """(A_n, B_n) = ((1 - |F_n|^2)^(-1/2), F_n A_n) for one entry F_n = v.
+
+    Batched callers still take every (A_n, B_n) from here, one scalar entry
+    at a time: numpy's complex ``abs`` over an array is not bit-identical to
+    the scalar ``abs`` (they differ in the last bit on about a third of
+    random entries), so a vectorised factor would change the fold.
+    """
     m = abs(v)
     A = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
     return A, v * A
@@ -215,15 +223,21 @@ def _phases(n: int, ts: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * frac)
 
 
+def _step(a, b, A, B, e):
+    """One factor of the fold:
+        a <- a A_n + b conj(B_n) e^{-2 pi i n t},
+        b <- a B_n e^{2 pi i n t} + b A_n.
+    """
+    return a * A + b * np.conj(B) * np.conj(e), a * B * e + b * A
+
+
 def _fold(entries, phase, shape) -> tuple[np.ndarray, np.ndarray]:
     """First row (a, b) of the product of the factors (n, F_n), in the order
     the pairs come.
 
     ``phase(n)`` returns the row e^{2 pi i n t} of the given shape; it is
     called once per nonzero entry, as the fold reaches it (zero entries are
-    identity factors).  Each step is
-        a <- a A_n + b conj(B_n) e^{-2 pi i n t},
-        b <- a B_n e^{2 pi i n t} + b A_n.
+    identity factors).  ``(A_n, B_n)`` come from the scalar ``_factor``.
     """
     a = np.ones(shape, dtype=complex)
     b = np.zeros(shape, dtype=complex)
@@ -231,8 +245,32 @@ def _fold(entries, phase, shape) -> tuple[np.ndarray, np.ndarray]:
         if v == 0:
             continue
         A, B = _factor(v)
-        e = phase(n)
-        a, b = a * A + b * np.conj(B) * np.conj(e), a * B * e + b * A
+        a, b = _step(a, b, A, B, phase(n))
+    return a, b
+
+
+def _fold_rows(rows: np.ndarray, phase, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_fold`` of several sequences that share their indices, at once.
+
+    ``rows[r, k]`` is entry k of sequence r and ``phase(k)`` the row of its
+    phases on ``grid`` points; the result has shape ``(len(rows), grid)``
+    and row r is bit-identical to ``_fold(enumerate(rows[r]), phase, grid)``:
+    each ``(A_n, B_n)`` comes from the scalar ``_factor``, the step is the
+    same elementwise arithmetic, and a zero entry leaves its own row alone
+    while the other rows take the factor.
+    """
+    live = rows != 0
+    A = np.ones(rows.shape)
+    B = np.zeros(rows.shape, dtype=complex)
+    for r, k in zip(*np.nonzero(live)):
+        A[r, k], B[r, k] = _factor(rows[r, k])
+    a = np.ones((len(rows), grid), dtype=complex)
+    b = np.zeros((len(rows), grid), dtype=complex)
+    for k, on in enumerate(live.T):
+        if on.all():
+            a, b = _step(a, b, A[:, k, None], B[:, k, None], phase(k))
+        elif on.any():
+            a[on], b[on] = _step(a[on], b[on], A[on, k, None], B[on, k, None], phase(k))
     return a, b
 
 

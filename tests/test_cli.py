@@ -58,6 +58,13 @@ def test_config_digest_stable():
     assert a.digest() != c.digest()
 
 
+def test_config_digest_ignores_the_report_directory(tmp_path):
+    x = ExperimentConfig(mode="verify", seed=1, output=str(tmp_path / "x"))
+    y = ExperimentConfig(mode="verify", seed=1, output=str(tmp_path / "y"))
+    assert x.digest() == y.digest()
+    assert x.digest() == ExperimentConfig(mode="verify", seed=1).digest()
+
+
 # ---------------------------------------------------------------------------
 # emit_report
 

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from su11 import (
     CoefficientSequence,
@@ -15,7 +18,9 @@ from su11 import (
     p_sweep,
     random_sequence,
 )
-from su11.extremizer_search import _WalkEvaluator, _rng_for_start, sequence_digest
+from su11.extremizer_search import (
+    _MIN_STEP, _WalkEvaluator, _project, _rng_for_start, sequence_digest,
+)
 from su11.nft_core import _log_a_sq
 from su11.spectral_norms import WeightSampler, lq_norm_periodic
 
@@ -60,6 +65,109 @@ def test_walk_ratio_is_the_sampler_quadrature_bit_for_bit():
         ratio = _WalkEvaluator(offset, n, e, walk_quad).ratio(vals)
         mismatches += ratio != lhs.value / rhs
     assert mismatches == 0
+
+
+def _random_rows(rng, rows, width, zero_frac):
+    shape = (rows, width)
+    vals = rng.uniform(0, 0.12, shape) * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+    vals[rng.uniform(size=vals.shape) < zero_frac] = 0
+    return vals
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8),
+       st.integers(-20, 20), st.sampled_from((1, 2, 4, 8, 64, 256)))
+@settings(max_examples=80, deadline=None)
+def test_batched_levels_match_one_row_folds(seed, rows, width, offset, grid):
+    """Speculated candidates folded as one batch give, at initial_grid and
+    2 * initial_grid, the very bits of folding each candidate alone, with
+    zero entries anywhere, also where another row's entry is nonzero."""
+    rng = np.random.default_rng(seed)
+    vals = _random_rows(rng, rows, width, 0.2)
+    vals[0, int(rng.integers(width))] = 0  # a zero where other rows may not have one
+    cands = [row for row in vals if np.any(row != 0)]
+    assume(cands)
+    e = ExponentPair(1.5)
+    quad = QuadratureConfig(initial_grid=grid, max_grid=2**16, rel_tol=1e-7)
+    batched = _WalkEvaluator(offset, width, e, quad)
+    batched.speculate(cands)
+    for cand in cands:
+        alone = _WalkEvaluator(offset, width, e, quad)
+        for level in (grid, 2 * grid):
+            got = batched._lhs_on_grid(cand, level)
+            assert (cand.tobytes(), level) in batched._levels  # served by the batch
+            assert got.tobytes() == alone._lhs_on_grid(cand, level).tobytes()
+
+
+def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
+    """Levels past the batch fall back to folding the candidate alone; the
+    ratios stay the per-candidate ones to the last bit."""
+    rng = np.random.default_rng(7)
+    e = ExponentPair(1.3)
+    quad = QuadratureConfig(initial_grid=4, max_grid=2**16, rel_tol=1e-9)
+    cands = list(_random_rows(rng, 4, 6, 0.0))
+    batched = _WalkEvaluator(-2, 6, e, quad)
+    batched.speculate(cands)
+    for cand in cands:
+        alone = _WalkEvaluator(-2, 6, e, quad)
+        levels = lq_norm_periodic(lambda grid: alone._lhs_on_grid(cand, grid), e.q, quad)
+        assert len(levels.history) >= 2  # _refine asked for a third level
+        assert batched.ratio(cand) == alone.ratio(cand)
+
+
+def _one_at_a_time_walk(start, exponents, cfg):
+    """The walk evaluated one candidate at a time, with no speculation.
+
+    Returns (best_F, best_ratio, sweeps, accepted steps followed by another
+    step on the same coordinate)."""
+    vals = np.array(start.values, dtype=complex)
+    walk_quad = replace(
+        cfg.quadrature, rel_tol=max(cfg.coarse_rel_tol, cfg.quadrature.rel_tol)
+    )
+    coarse = _WalkEvaluator(start.offset, vals.size, exponents, walk_quad)
+    best = coarse.ratio(vals)
+    step, sweeps, mid_coordinate = cfg.init_step, 0, 0
+    while sweeps < cfg.max_iters and step >= _MIN_STEP:
+        improved = False
+        for k in range(vals.size):
+            for j, delta in enumerate((step, -step, 1j * step, -1j * step)):
+                cand = vals.copy()
+                cand[k] += delta
+                cand = _project(cand, cfg.l1_cap)
+                if not np.any(cand != 0):
+                    continue
+                r = coarse.ratio(cand)
+                if r > best:
+                    best, vals = r, cand
+                    improved = True
+                    mid_coordinate += j < 3
+        sweeps += 1
+        if not improved:
+            step *= cfg.shrink
+    final = CoefficientSequence(start.offset, tuple(vals))
+    ratio = hy_ratio(final, exponents, cfg.quadrature).ratio
+    start_ratio = hy_ratio(start, exponents, cfg.quadrature).ratio
+    if ratio < start_ratio:
+        final, ratio = start, start_ratio
+    return final, ratio, sweeps, mid_coordinate
+
+
+def test_speculative_walk_follows_the_one_at_a_time_trajectory():
+    """local_search, speculating each coordinate's steps as one batch, ends
+    where the one-at-a-time walk ends, bit for bit."""
+    cfg = SearchConfig(window=(-2, 3), l1_cap=0.5, starts=1, max_iters=12,
+                       seed=31, quadrature=FAST_QUAD)
+    mid_coordinate = 0
+    for index in range(3):
+        start = random_sequence(_rng_for_start(cfg.seed, index), cfg.window, cfg.l1_cap)
+        for p in (1.2, 1.9):
+            e = ExponentPair(p)
+            best_f, ratio, sweeps, mid = _one_at_a_time_walk(start, e, cfg)
+            res = local_search(start, e, cfg)
+            assert res.best_F == best_f
+            assert res.best_ratio == ratio
+            assert res.iters_used == sweeps
+            mid_coordinate += mid
+    assert mid_coordinate > 0  # the replay after a mid-coordinate step ran
 
 
 def small_config(**kw):
@@ -162,13 +270,6 @@ def test_local_search_never_regresses():
     assert res.best_ratio >= start_ratio - 1e-12
 
 
-def test_local_search_trace_monotone():
-    start = CoefficientSequence(0, (0.1, 0.08, 0.02j, 0.05))
-    res = local_search(start, ExponentPair(1.9), small_config(max_iters=15))
-    ratios = [r for _, r in res.trace]
-    assert all(b >= a for a, b in zip(ratios[:-1], ratios[1:]))
-
-
 def test_local_search_rejects_zero_start():
     with pytest.raises(ZeroSequenceError):
         local_search(CoefficientSequence(0, (0j,)), ExponentPair(1.5), small_config())
@@ -203,7 +304,7 @@ def test_multi_start_single_start_matches_local_search():
     res = multi_start(e, cfg)
     rng = _rng_for_start(cfg.seed, 0)
     start = random_sequence(rng, cfg.window, cfg.l1_cap)
-    ref = local_search(start, e, cfg, start_index=0, keep_trace=False)
+    ref = local_search(start, e, cfg, start_index=0)
     assert res.best_F == ref.best_F
     assert res.best_ratio == ref.best_ratio
 
