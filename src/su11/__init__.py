@@ -36,7 +36,6 @@ from .inequality_harness import (
     alpha_delta,
     condition_check,
     hy_ratio,
-    linear_hy_margin,
     proof_ledger,
     quadratic_error_probe,
     theorem1_margin,

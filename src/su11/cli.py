@@ -66,9 +66,10 @@ class ExperimentConfig:
         return CCParameters(*self.cc)
 
     def digest(self) -> str:
-        """Names the experiment, not where its reports go: ``output`` (and
-        the ``overrides`` bookkeeping) are left out."""
-        keys = sorted(k for k in vars(self) if k not in ("output", "overrides"))
+        """Names the experiment, not where or how it runs: ``output``,
+        ``workers`` (every report is byte-identical at any worker count) and
+        the ``overrides`` bookkeeping are left out."""
+        keys = sorted(k for k in vars(self) if k not in ("output", "workers", "overrides"))
         blob = repr([(k, getattr(self, k)) for k in keys])
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ZeroSequenceError
 from .nft_core import (
-    CoefficientSequence, sequence_to_text, _fold, _fold_rows, _log_a_sq, _phases,
+    CoefficientSequence, sequence_to_text, _fold, _fold_rows, _grid_phases, _log_a_sq,
 )
 from .spectral_norms import ExponentPair, QuadratureConfig, lq_norm_periodic
 from .inequality_harness import hy_ratio
@@ -129,8 +129,9 @@ class _WalkEvaluator:
     The torus side refines through ``lq_norm_periodic`` at the walk's
     tolerance ``quad``, like every other norm.  The level function is the
     walk's own: every candidate shares the window, so it keeps one table of
-    per-index phase rows per grid, where a fresh ``WeightSampler`` per
-    candidate would rebuild every phase row for every candidate.
+    per-index phase rows per grid (gathered by ``nft_core._grid_phases``),
+    where a fresh ``WeightSampler`` per candidate would gather every phase
+    row for every candidate.
 
     ``speculate(cands)`` announces the candidates the walk is about to try
     on one coordinate.  On the next level request they are folded together,
@@ -157,8 +158,7 @@ class _WalkEvaluator:
     def _phase_table(self, grid: int) -> np.ndarray:
         tab = self._phase.get(grid)
         if tab is None:
-            ts = np.arange(grid, dtype=float) / grid
-            tab = np.array([_phases(self.offset + k, ts) for k in range(self.count)])
+            tab = np.array([_grid_phases(self.offset + k, grid) for k in range(self.count)])
             self._phase[grid] = tab
         return tab
 

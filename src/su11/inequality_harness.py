@@ -25,6 +25,7 @@ from .nft_core import (
     CoefficientSequence,
     linear_fourier_on_grid,
     product_on_grid_arrays,
+    _grid_phases,
     _log_a_sq,
     _phases,
 )
@@ -240,35 +241,6 @@ def hy_ratio(
     )
 
 
-def linear_hy_margin(
-    values, exponents: ExponentPair, cfg: QuadratureConfig
-) -> HyReport:
-    """Sharp linear Hausdorff-Young on the integers: ||Ghat||_q <= ||G||_p.
-
-    ``values`` is any finitely supported complex sequence (no unit-disk
-    restriction); the index offset is irrelevant to both norms.  A negative
-    margin beyond tolerance signals an implementation bug, not a discovery.
-    """
-    arr = np.asarray(list(values), dtype=complex)
-    if arr.size == 0 or not np.any(arr != 0):
-        raise ZeroSequenceError("linear ratio undefined for the zero sequence")
-    lhs = lq_norm_periodic(
-        lambda grid: np.abs(linear_fourier_on_grid(enumerate(arr), grid)), exponents.q, cfg
-    )
-    rhs = lp_sequence_norm(np.abs(arr), exponents.p)
-    margin = rhs - lhs.value
-    return HyReport(
-        exponents=exponents,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs.value / rhs,
-        bound_label="linear-hy",
-        bound=1.0,
-        margin=margin,
-        margin_rel=margin / max(rhs, _TINY),
-    )
-
-
 def theorem1_margin(
     seq: CoefficientSequence,
     exponents: ExponentPair,
@@ -408,13 +380,15 @@ class _TraceGrids:
     def level(self, grid_size: int) -> np.ndarray:
         return _refined_level(self._cache, grid_size, self._rows)
 
-    def _rows(self, ts: np.ndarray) -> np.ndarray:
+    def _rows(self, ts: np.ndarray, grid: tuple[int, bool] | None = None) -> np.ndarray:
+        """The rows at the points ``ts``; ``grid = (M, odd)`` names them as a
+        grid level, whose phases are gathered (``_grid_phases``)."""
         out = np.zeros((2, len(self.entries) + 1, ts.size))
         ra = np.zeros(ts.size, dtype=complex)
         rb = np.zeros(ts.size, dtype=complex)
         lin = np.zeros(ts.size, dtype=complex)
         for k, (n, v) in enumerate(self.entries, start=1):
-            e = _phases(n, ts)
+            e = _phases(n, ts) if grid is None else _grid_phases(n, *grid)
             ra, rb = (
                 ra + rb * np.conj(v) * np.conj(e),
                 rb + v * e + ra * v * e,
@@ -705,7 +679,7 @@ def quadratic_error_probe(
     devs = []
     for s in scales:
         scaled = seq.scaled(s)
-        _, b = product_on_grid_arrays(scaled, ts)
+        _, b = product_on_grid_arrays(scaled, ts, (grid_size, False))
         devs.append(float(np.max(np.abs(b - s * hat))))
     if all(d < 1e-14 for d in devs):
         raise DegenerateFitError("all deviations below 1e-14")

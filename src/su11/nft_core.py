@@ -17,6 +17,18 @@ rows from ``_phases``; the grid entry point ``product_on_grid_arrays(F, ts)``
 at ``ts[j]`` and the scalar ``evaluate_product(F, ts[j])`` agree bit for bit.
 ``_fold_rows`` folds several sequences at once with the same step
 ``_step``, each row bit-identical to its own ``_fold``.
+
+Every quadrature level is a power-of-two grid ``j / M``, and there the
+phases need no ``exp``: ``j / M``, ``n * j / M`` and its reduction mod 1 are
+exact in binary64 (for ``|n| * M <= 2**53``), so ``e^{2 pi i n j / M}`` is
+entry ``(n * j) mod M`` of the row ``_phases(1, k / M)``, the M-th roots of
+unity.  ``_grid_phases(n, M, odd)`` gathers a level's row (with ``odd``, the
+row at its odd points ``(2j + 1) / M``) from one such table per M, bit for
+bit equal to ``_phases``; any other grid falls back to ``_phases``.  The
+tables are built through ``_phases`` and kept in the module cache
+``_ROOTS``, filled lazily and never changed after: each table is read-only,
+and two threads racing on a miss store identical tables, so the cache is
+safe to share across threads, and each process fills its own.
 """
 
 from __future__ import annotations
@@ -223,6 +235,31 @@ def _phases(n: int, ts: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * frac)
 
 
+# per grid size M (a power of two): the read-only row _phases(1, j / M)
+_ROOTS: dict[int, np.ndarray] = {}
+
+
+def _grid_phases(n: int, grid: int, odd: bool = False) -> np.ndarray:
+    """``_phases(n, ts)`` on the grid level ``ts = j / grid``, or with
+    ``odd`` on its odd points ``(2j + 1) / grid``, bit for bit.
+
+    For a power-of-two ``grid`` and ``|n| * grid <= 2**53`` every step of
+    ``_phases`` is exact up to the ``exp``, whose argument is
+    ``((n * k) mod grid) / grid`` at the point ``k / grid``; the row is then
+    gathered from the cached roots of unity.  Any other grid or ``n`` takes
+    ``_phases`` itself.
+    """
+    ks = np.arange(1, grid, 2) if odd else np.arange(grid)
+    if grid & (grid - 1) or abs(n) * grid > 2**53:
+        return _phases(n, ks / grid)
+    roots = _ROOTS.get(grid)
+    if roots is None:
+        roots = _phases(1, np.arange(grid) / grid)
+        roots.flags.writeable = False
+        _ROOTS[grid] = roots
+    return roots[n * ks & (grid - 1)]  # (n * k) mod grid
+
+
 def _step(a, b, A, B, e):
     """One factor of the fold:
         a <- a A_n + b conj(B_n) e^{-2 pi i n t},
@@ -275,12 +312,19 @@ def _fold_rows(rows: np.ndarray, phase, grid: int) -> tuple[np.ndarray, np.ndarr
 
 
 def product_on_grid_arrays(
-    seq: CoefficientSequence, ts: np.ndarray
+    seq: CoefficientSequence, ts: np.ndarray, grid: tuple[int, bool] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (a(t), b(t)) over an array of t values, factors in
-    increasing n.  The scalar entry point runs through here too."""
+    increasing n.  The scalar entry point runs through here too.
+
+    ``grid = (M, odd)`` says that ``ts`` is the level ``j / M`` (``odd``: its
+    odd points ``(2j + 1) / M``); the phases are then gathered by
+    ``_grid_phases``, with the same result.
+    """
     ts = np.asarray(ts, dtype=float)
-    return _fold(seq.window_entries(), lambda n: _phases(n, ts), ts.shape)
+    if grid is None:
+        return _fold(seq.window_entries(), lambda n: _phases(n, ts), ts.shape)
+    return _fold(seq.window_entries(), lambda n: _grid_phases(n, *grid), ts.shape)
 
 
 def evaluate_product(seq: CoefficientSequence, t: float) -> Su11Element:
@@ -297,9 +341,8 @@ def evaluate_product(seq: CoefficientSequence, t: float) -> Su11Element:
 def linear_fourier_on_grid(entries, grid_size: int) -> np.ndarray:
     """Sum of F_n e^{2 pi i n t} over the pairs (n, F_n), on the uniform
     grid j / grid_size."""
-    ts = np.arange(grid_size, dtype=float) / grid_size
     total = np.zeros(grid_size, dtype=complex)
     for n, v in entries:
         if v != 0:
-            total += v * _phases(n, ts)
+            total += v * _grid_phases(n, grid_size)
     return total

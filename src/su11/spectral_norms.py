@@ -88,21 +88,24 @@ class NormResult:
 
 
 def _refined_level(cache: dict, grid_size: int, fresh) -> np.ndarray:
-    """``cache[grid_size]``, computed on a miss from ``fresh(ts)``.
+    """``cache[grid_size]``, computed on a miss from ``fresh(ts, grid)``.
 
     ``fresh`` maps an array of points t to samples whose last axis runs over
-    t.  When the level of ``grid_size // 2`` points is cached, only the odd
-    points (2j + 1) / grid_size are evaluated and interleaved with it: the
-    even points 2j / grid_size and j / (grid_size / 2) round to the same
-    double, so the level is bit-identical to evaluating every point.
+    t; ``grid = (grid_size, odd)`` names those points as the grid level (see
+    ``nft_core._grid_phases``).  When the level of ``grid_size // 2`` points
+    is cached, only the odd points (2j + 1) / grid_size are evaluated and
+    interleaved with it: the even points 2j / grid_size and
+    j / (grid_size / 2) round to the same double, so the level is
+    bit-identical to evaluating every point.
     """
     out = cache.get(grid_size)
     if out is None:
         half = cache.get(grid_size // 2) if grid_size % 2 == 0 else None
         if half is None:
-            out = fresh(np.arange(grid_size, dtype=float) / grid_size)
+            out = fresh(np.arange(grid_size, dtype=float) / grid_size, (grid_size, False))
         else:
-            odd = fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size)
+            odd = fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size,
+                        (grid_size, True))
             out = np.empty(half.shape[:-1] + (grid_size,), dtype=half.dtype)
             out[..., 0::2] = half
             out[..., 1::2] = odd
@@ -128,8 +131,8 @@ class WeightSampler:
         self._weight: dict[int, np.ndarray] = {}
         self.trace_grids = None  # set by proof_ledger on first use
 
-    def _b_abs_at(self, ts: np.ndarray) -> np.ndarray:
-        return np.abs(product_on_grid_arrays(self.seq, ts)[1])
+    def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool] | None = None) -> np.ndarray:
+        return np.abs(product_on_grid_arrays(self.seq, ts, grid)[1])
 
     def logsq_on_grid(self, grid_size: int) -> np.ndarray:
         out = self._logsq.get(grid_size)

@@ -210,7 +210,7 @@ def frequency_support_suite(
         width = n_max - n_min + 1
         grid = 1 << max(6, (4 * width + 2 * max(abs(n_min), abs(n_max)) + 2).bit_length())
         ts = np.arange(grid) / grid
-        a, b = product_on_grid_arrays(seq, ts)
+        a, b = product_on_grid_arrays(seq, ts, (grid, False))
         band_b = frequency_support(b, claimed_bandwidth=max(abs(n_min), abs(n_max)))
         band_a = frequency_support(a - 0.0, claimed_bandwidth=width)
         rep.n_checked += 1

@@ -65,6 +65,11 @@ def test_config_digest_ignores_the_report_directory(tmp_path):
     assert x.digest() == ExperimentConfig(mode="verify", seed=1).digest()
 
 
+def test_config_digest_ignores_the_worker_count():
+    one = ExperimentConfig(mode="search", workers=1)
+    assert one.digest() == ExperimentConfig(mode="search", workers=4).digest()
+
+
 # ---------------------------------------------------------------------------
 # emit_report
 

@@ -14,7 +14,6 @@ from su11 import (
     alpha_delta,
     condition_check,
     hy_ratio,
-    linear_hy_margin,
     proof_ledger,
     quadratic_error_probe,
     theorem1_margin,
@@ -22,6 +21,7 @@ from su11 import (
 )
 from su11.extended import mp_det_residual, mp_hy_margin
 from su11.inequality_harness import _TraceGrids
+from su11.nft_core import product_on_grid_arrays
 from su11.spectral_norms import WeightSampler
 from su11.verification import THEOREM1_PS
 
@@ -35,7 +35,6 @@ CC = CCParameters(1.0, 1.0, 1.0)
 #   F0 = F1 = 0.2:  |a(t)|^2 = (626 + 50 cos 2 pi t) / 576
 LHS_L3_TWO_HALF = 0.7964016817779027
 LHS_L3_TWO_02 = 0.3030700099707962
-LIN_LHS_ONES = 1.5030022023824354  # (32 / (3 pi))^(1/3)
 
 
 # ---------------------------------------------------------------------------
@@ -61,41 +60,6 @@ def test_hy_ratio_fixture_against_dense_oracle(two_half, quad):
 def test_hy_ratio_rejects_zero(quad):
     with pytest.raises(ZeroSequenceError):
         hy_ratio(CoefficientSequence(0, (0j,)), ExponentPair(1.5), quad)
-
-
-# ---------------------------------------------------------------------------
-# linear Hausdorff-Young
-
-
-def test_linear_spike_is_extremizer(quad):
-    rep = linear_hy_margin([0, 0, 0, 0, 0, 0.7], ExponentPair(1.5), quad)
-    assert rep.lhs.value == pytest.approx(0.7, rel=1e-12)
-    assert rep.rhs == pytest.approx(0.7, rel=1e-15)
-    assert abs(rep.margin) <= 1e-12
-
-
-def test_linear_two_ones_closed_form(quad):
-    rep = linear_hy_margin([1.0, 1.0], ExponentPair(1.5), quad)
-    assert rep.lhs.value == pytest.approx(LIN_LHS_ONES, abs=1e-9)
-    assert rep.rhs == pytest.approx(2 ** (2 / 3), rel=1e-15)
-    assert rep.margin > 0
-
-
-def test_linear_random_sweep(quad):
-    rng = np.random.default_rng(321)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
-        if not np.any(vals != 0):
-            continue
-        p = float(rng.uniform(1.05, 1.95))
-        rep = linear_hy_margin(vals, ExponentPair(p), quad)
-        assert rep.margin_rel >= -1e-9
-
-
-def test_linear_rejects_zero(quad):
-    with pytest.raises(ZeroSequenceError):
-        linear_hy_margin([0, 0], ExponentPair(1.5), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +237,23 @@ def test_trace_levels_from_odd_points_match_fresh_evaluation(width):
         grid = first
         while grid <= 8192:
             assert np.array_equal(grids.level(grid), _TraceGrids(seq).level(grid))
+            grid *= 2
+
+
+@pytest.mark.parametrize("width", [1, 5, 24, 48])
+def test_grid_levels_gather_matches_exp_path_bytewise(width):
+    """Sampler and ledger levels, whose phases are gathered from the
+    root-of-unity tables, equal the ts-only ``exp`` path byte for byte on a
+    power-of-two chain (and on a non-power-of-two one, which never gathers)."""
+    seq = sequence_of_width(width)
+    for first, last in ((1, 8192), (12, 6144)):
+        sampler, grids = WeightSampler(seq), _TraceGrids(seq)
+        grid = first
+        while grid <= last:
+            ts = np.arange(grid) / grid
+            b_abs = np.abs(product_on_grid_arrays(seq, ts)[1])
+            assert sampler.b_abs_on_grid(grid).tobytes() == b_abs.tobytes()
+            assert grids.level(grid).tobytes() == _TraceGrids(seq)._rows(ts).tobytes()
             grid *= 2
 
 

@@ -24,7 +24,10 @@ from su11 import (
 )
 from su11.extended import mp_product
 from su11.inequality_harness import _TraceGrids
-from su11.nft_core import _factor, linear_fourier_on_grid, product_on_grid_arrays
+import su11.nft_core as nft_core
+from su11.nft_core import (
+    _factor, _grid_phases, _phases, linear_fourier_on_grid, product_on_grid_arrays,
+)
 from su11.verification import reversed_order_product
 
 from conftest import random_sequence_draw
@@ -121,6 +124,31 @@ def test_grid_two_point(two_half):
     assert abs(b[1]) < 1e-14
 
 
+def test_grid_phases_gather_matches_exp_path_bytewise():
+    """Rows gathered from the root-of-unity tables equal ``_phases`` on the
+    same points byte for byte: full and odd-point levels, negative n,
+    |n| up to 5000, grids 1 to 2**14.  A non-power-of-two grid and an
+    |n| * grid above 2**53 take ``_phases`` itself."""
+    rng = np.random.default_rng(11)
+    ns = [0, 1, -1, 2, -3, 5000, -5000, *rng.integers(-5000, 5001, 12).tolist()]
+    grids = [2**e for e in range(15)] + [12, 37]
+    for grid in grids:
+        for odd in (False, True):
+            ts = (np.arange(1, grid, 2) if odd else np.arange(grid)) / grid
+            for n in ns:
+                assert _grid_phases(n, grid, odd).tobytes() == _phases(n, ts).tobytes()
+    big = 2**45  # n * k / grid is no longer exact at grid 2**10
+    ts = np.arange(1024) / 1024
+    assert _grid_phases(big + 1, 1024).tobytes() == _phases(big + 1, ts).tobytes()
+    entries = [(n, complex(*rng.normal(size=2))) for n in range(-7, 9)]
+    for grid in (1, 64, 4096, 12):
+        ts = np.arange(grid) / grid
+        total = np.zeros(grid, dtype=complex)
+        for n, v in entries:
+            total += v * _phases(n, ts)
+        assert linear_fourier_on_grid(entries, grid).tobytes() == total.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the fast kernel against the extended-precision oracle
 
@@ -173,11 +201,24 @@ def _convergence_tests(node):
     return found
 
 
-def test_one_factor_kernel_and_one_phase_builder():
+def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     """The factor coefficients are computed in one place and the phases
     e^{2 pi i n t} are built only by nft_core._phases (extended.py, the
-    independent oracle, is exempt).  Only spectral_norms._refine tests
+    independent oracle, is exempt); the grid levels' root-of-unity tables
+    are built through it too.  Only spectral_norms._refine tests
     convergence, and WeightSampler is the only sampler class."""
+    built = []
+
+    def spy(n, ts):
+        built.append((n, ts.tobytes()))
+        return _phases(n, ts)
+
+    monkeypatch.setattr(nft_core, "_phases", spy)
+    monkeypatch.delitem(nft_core._ROOTS, 32, raising=False)
+    _grid_phases(5, 32)
+    _grid_phases(-7, 32, True)
+    assert built == [(1, (np.arange(32) / 32).tobytes())]
+
     root = Path(su11.__file__).parent
     coeff, phase = "(1.0 - m) * (1.0 + m)", re.compile(r"np\.exp\(2j|cmath\.exp")
     coeff_count, stray = 0, []

@@ -323,9 +323,9 @@ def test_sampler_evaluates_only_new_odd_points(monkeypatch):
 
     sizes = []
 
-    def spy(seq, ts):
+    def spy(seq, ts, grid=None):
         sizes.append(ts.size)
-        return product_on_grid_arrays(seq, ts)
+        return product_on_grid_arrays(seq, ts, grid)
 
     monkeypatch.setattr(sn, "product_on_grid_arrays", spy)
     sampler = WeightSampler(sequence_of_width(5))
