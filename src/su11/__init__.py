@@ -5,7 +5,6 @@ from .errors import (
     ConfigError,
     DegenerateFitError,
     DomainError,
-    EmptySequenceError,
     PreconditionFailed,
     ZeroSequenceError,
 )

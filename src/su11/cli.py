@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, PreconditionFailed, ZeroSequenceError
+from .errors import ConfigError
 from .nft_core import CoefficientSequence, sequence_from_text, sequence_to_text
 from .spectral_norms import ExponentPair, QuadratureConfig
 from .inequality_harness import (
@@ -139,6 +139,8 @@ def load_config(mode: str, args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "p_values", None) is not None:
         _coerce(cfg, "p_values", args.p_values)
         cfg.overrides["p_values"] = args.p_values
+    if cfg.draws is not None and cfg.draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {cfg.draws!r}")
     return cfg
 
 
@@ -428,8 +430,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.mode, args)
         code = run(cfg)
-    except (ConfigError, DomainError, ZeroSequenceError, PreconditionFailed,
-            FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # every su11 error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

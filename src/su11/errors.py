@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """A coefficient modulus is at or beyond the unit-disk guard."""
 
 
-class EmptySequenceError(ValueError):
-    """Operation requires a sequence with at least one nonzero entry."""
-
-
 class ZeroSequenceError(ValueError):
     """Ratio or condition is undefined for the identically-zero sequence."""
 

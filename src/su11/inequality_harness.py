@@ -34,18 +34,17 @@ from .spectral_norms import (
     NormResult,
     QuadratureConfig,
     WeightSampler,
+    _TINY,
     _refined_level,
     lp_sequence_norm,
     lq_norm_periodic,
     nl_weight_sequence,
 )
 
-_TINY = 1e-300
-
 # Relative margin below which a check is declared violated (binary64 path).
 DEFAULT_MARGIN_TOL = 1e-9
-# Counterpart for the extended-precision path (>= 30 significant digits).
-EXTENDED_MARGIN_TOL = 1e-20
+# Points of the uniform grid on which the linearization probe takes its max.
+_PROBE_GRID = 512
 
 CSV_HEADER = "check_id,p,q,lhs,rhs,ratio,bound,margin,converged,context"
 
@@ -399,12 +398,12 @@ class _TraceGrids:
         return out
 
 
-def _entry(check_id, lhs, rhs, scale, tol, context="", converged=True) -> LedgerEntry:
+def _entry(check_id, lhs, rhs, scale, context="", converged=True) -> LedgerEntry:
     margin = rhs - lhs
     rel = margin / max(abs(scale), _TINY)
     return LedgerEntry(
         check_id=check_id,
-        holds=rel >= -tol,
+        holds=rel >= -DEFAULT_MARGIN_TOL,
         margin=margin,
         margin_rel=rel,
         lhs=lhs,
@@ -431,7 +430,6 @@ def proof_ledger(
     cc: CCParameters,
     cfg: QuadratureConfig,
     t_samples: int = 16,
-    margin_tol: float = DEFAULT_MARGIN_TOL,
     sampler: WeightSampler | None = None,
 ) -> list[LedgerEntry]:
     """Evaluate the nine-link estimate chain on one input.
@@ -449,10 +447,13 @@ def proof_ledger(
     L9  scalar comparison 3 l1 + (3 l1 / c)^(1/gamma) <= (l1/delta)^(1/alpha)
         (requires the spread condition)
 
-    Hypothesis failures are recorded per entry, never raised.  ``sampler``
-    (for ``seq``) lets the ledgers at several exponents and the theorem
-    margins share one set of grid samples.
+    An entry holds when its rhs-relative margin is at least
+    -DEFAULT_MARGIN_TOL.  Hypothesis failures are recorded per entry, never
+    raised.  ``sampler`` (for ``seq``) lets the ledgers at several exponents
+    and the theorem margins share one set of grid samples.
     """
+    if t_samples < 1:
+        raise ValueError(f"t_samples must be >= 1, got {t_samples!r}")
     _require_nonzero(seq)
     p, q = exponents.p, exponents.q
     mods = seq.moduli()
@@ -474,7 +475,7 @@ def proof_ledger(
     out: list[LedgerEntry] = []
 
     # L1
-    out.append(_entry("L1", lp_f, lp_w, lp_w, margin_tol))
+    out.append(_entry("L1", lp_f, lp_w, lp_w))
 
     # L2
     if l1 >= 1.0:
@@ -486,7 +487,7 @@ def proof_ledger(
             rhs2, context = 1.0 + l1 * l1, "bound=1+l1^2 (implies the other)"
         else:
             rhs2, context = (1.0 - l1 * l1) ** -0.5, "bound=(1-l1^2)^(-1/2)"
-        out.append(_entry("L2", prod_a, rhs2, max(rhs2, 1.0), margin_tol, context))
+        out.append(_entry("L2", prod_a, rhs2, max(rhs2, 1.0), context))
 
     # L3: pointwise at t_samples uniform points
     red, lin = grids.level(t_samples)
@@ -508,7 +509,6 @@ def proof_ledger(
             bind3[1],
             bind3[2],
             scale3,
-            margin_tol,
             context=f"binding at {bind3[3]}; {t_samples} t-points",
         )
     )
@@ -536,7 +536,6 @@ def proof_ledger(
             bind4[1],
             bind4[2],
             max(lp_f, 1.0),
-            margin_tol,
             context=f"binding N={bind4[3]}",
             converged=conv,
         )
@@ -554,7 +553,6 @@ def proof_ledger(
                 float(red_vals[j5]),
                 cap5,
                 max(cap5, _TINY),
-                margin_tol,
                 context=f"binding N={n_first + j5}",
                 converged=conv,
             )
@@ -579,7 +577,6 @@ def proof_ledger(
                 lhs6,
                 rhs6,
                 max(cap6, _TINY),
-                margin_tol,
                 context=f"binding side: {side}",
                 converged=conv and w_norm.converged and b_norm.converged,
             )
@@ -597,7 +594,6 @@ def proof_ledger(
                 w_norm.value,
                 cap7,
                 max(cap7, _TINY),
-                margin_tol,
                 context=f"sup_N at N={n_first + int(np.argmax(lin_vals))}",
                 converged=conv and w_norm.converged,
             )
@@ -626,7 +622,6 @@ def proof_ledger(
             float(lin_vals[1 + j8]),
             cap8,
             max(lp_f, _TINY),
-            margin_tol,
             context=case_note,
             converged=conv,
         )
@@ -635,7 +630,7 @@ def proof_ledger(
     # L9: scalar comparison behind the case split
     lhs9 = 3.0 * l1 + (3.0 * l1 / cc.c) ** (1.0 / cc.gamma)
     rhs9 = (l1 / cond.delta) ** (1.0 / cond.alpha)
-    out.append(_entry("L9", lhs9, rhs9, max(rhs9, _TINY), margin_tol))
+    out.append(_entry("L9", lhs9, rhs9, max(rhs9, _TINY)))
     return out
 
 
@@ -653,14 +648,10 @@ class ProbeResult:
     deviations: tuple[float, ...]
 
 
-def quadratic_error_probe(
-    seq: CoefficientSequence,
-    scales,
-    grid_size: int = 512,
-) -> ProbeResult:
+def quadratic_error_probe(seq: CoefficientSequence, scales) -> ProbeResult:
     """Slope of log max|b_{eps F} - eps Fhat| against log eps.
 
-    Uses a fixed uniform grid of ``grid_size`` points for the max.  At least
+    Uses a fixed uniform grid of 512 points for the max.  At least
     three scales spanning a decade are required.  Because b is odd in F the
     deviation scales cubically for generic inputs; anything at or above
     slope 2 - 0.1 is accepted downstream.
@@ -674,12 +665,12 @@ def quadratic_error_probe(
     # ladder 0.1 .. 0.0125 spans 8x
     if max(scales) / min(scales) < 5.0 - 1e-12:
         raise ValueError("scales must span at least a factor of 5")
-    ts = np.arange(grid_size, dtype=float) / grid_size
-    hat = linear_fourier_on_grid(seq.window_entries(), grid_size)
+    ts = np.arange(_PROBE_GRID, dtype=float) / _PROBE_GRID
+    hat = linear_fourier_on_grid(seq.window_entries(), _PROBE_GRID)
     devs = []
     for s in scales:
         scaled = seq.scaled(s)
-        _, b = product_on_grid_arrays(scaled, ts, (grid_size, False))
+        _, b = product_on_grid_arrays(scaled, ts, (_PROBE_GRID, False))
         devs.append(float(np.max(np.abs(b - s * hat))))
     if all(d < 1e-14 for d in devs):
         raise DegenerateFitError("all deviations below 1e-14")

@@ -34,11 +34,11 @@ safe to share across threads, and each process fills its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySequenceError
+from .errors import DomainError
 
 # Entries with modulus >= 1 - MODULUS_GUARD are rejected: A_n would exceed
 # ~7e5 and downstream logs lose precision.
@@ -60,13 +60,12 @@ class CoefficientSequence:
 
     offset: int
     values: tuple[complex, ...]
-    guard: float = field(default=MODULUS_GUARD, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(complex(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "offset", int(self.offset))
-        cap = 1.0 - self.guard
+        cap = 1.0 - MODULUS_GUARD
         for k, v in enumerate(vals):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise DomainError(f"entry {self.offset + k} is not finite")
@@ -83,20 +82,6 @@ class CoefficientSequence:
         if not nz:
             return None
         return self.offset + nz[0], self.offset + nz[-1]
-
-    @property
-    def n_min(self) -> int:
-        s = self.support()
-        if s is None:
-            raise EmptySequenceError("sequence has no nonzero entry")
-        return s[0]
-
-    @property
-    def n_max(self) -> int:
-        s = self.support()
-        if s is None:
-            raise EmptySequenceError("sequence has no nonzero entry")
-        return s[1]
 
     def is_zero(self) -> bool:
         return self.support() is None
@@ -183,26 +168,22 @@ def sequence_from_text(text: str) -> CoefficientSequence:
 class Su11Element:
     """First row (a, b) of an SU(1,1) matrix: |a|^2 - |b|^2 = 1, |a| >= 1.
 
-    The group constraint is validated at construction to ``tol`` relative to
-    max(1, |a|^2).
+    The group constraint is validated at construction to ``_DET_TOL``
+    relative to max(1, |a|^2).
     """
 
     a: complex
     b: complex
-    tol: float = field(default=_DET_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         asq = abs(self.a) ** 2
         det = asq - abs(self.b) ** 2
-        if abs(det - 1.0) > self.tol * max(1.0, asq):
+        if abs(det - 1.0) > _DET_TOL * max(1.0, asq):
             raise ValueError(f"not in SU(1,1): |a|^2-|b|^2 = {det!r}")
         if abs(self.a) < 1.0 - _ABS_FLOOR:
             raise ValueError(f"|a| = {abs(self.a)!r} < 1")
-
-    def det_residual(self) -> float:
-        return abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ import numpy as np
 from .errors import AliasRiskError
 from .nft_core import CoefficientSequence, product_on_grid_arrays, _log_a_sq
 
+# floor for the denominators of relative errors and margins
 _TINY = 1e-300
+# a DFT coefficient below this fraction of the peak counts as no signal
+_SUPPORT_REL_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,6 @@ class ExponentPair:
         q = math.inf if p == 1.0 else p / (p - 1.0)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    @property
-    def is_endpoint(self) -> bool:
-        return self.p in (1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ class WeightSampler:
         self._weight: dict[int, np.ndarray] = {}
         self.trace_grids = None  # set by proof_ledger on first use
 
-    def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool] | None = None) -> np.ndarray:
+    def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
         return np.abs(product_on_grid_arrays(self.seq, ts, grid)[1])
 
     def logsq_on_grid(self, grid_size: int) -> np.ndarray:
@@ -259,20 +258,18 @@ def parseval_residual(
     return integral.value - seq_side, integral
 
 
-def frequency_support(
-    samples, claimed_bandwidth: int | None = None, rel_threshold: float = 1e-9
-) -> tuple[int, int] | None:
+def frequency_support(samples, claimed_bandwidth: int) -> tuple[int, int] | None:
     """Smallest integer frequency interval carrying the sampled signal.
 
     Runs a DFT on uniform-grid samples and returns (lo, hi) covering every
-    index whose coefficient magnitude exceeds ``rel_threshold`` times the
-    maximum, with indices mapped to the centered range [-M/2, M/2).  Returns
-    None when all coefficients vanish.  If a bandwidth is claimed, grids
-    smaller than 2*bandwidth + 2 are rejected as alias-prone.
+    index whose coefficient magnitude exceeds 1e-9 times the maximum, with
+    indices mapped to the centered range [-M/2, M/2).  Returns None when all
+    coefficients vanish.  Grids smaller than 2*claimed_bandwidth + 2 are
+    rejected as alias-prone.
     """
     arr = np.asarray(samples, dtype=complex)
     grid = arr.size
-    if claimed_bandwidth is not None and grid < 2 * claimed_bandwidth + 2:
+    if grid < 2 * claimed_bandwidth + 2:
         raise AliasRiskError(
             f"grid {grid} below 2*{claimed_bandwidth}+2; aliasing possible"
         )
@@ -282,5 +279,5 @@ def frequency_support(
     peak = float(mags.max())
     if peak == 0.0:
         return None
-    keep = freqs[mags > rel_threshold * peak]
+    keep = freqs[mags > _SUPPORT_REL_THRESHOLD * peak]
     return int(keep.min()), int(keep.max())

@@ -67,7 +67,7 @@ def test_su11_membership():
 
 
 def test_trivial_equality_spikes():
-    rep = vf.spike_equality_suite(seed=SEED, ps=(1.1, 1.5, 1.9))
+    rep = vf.spike_equality_suite(seed=SEED)
     _report(
         "spike-equality",
         rep.passed and rep.worst["abs_ratio_minus_1"] <= 1e-12,

@@ -240,6 +240,37 @@ def test_search_gates_use_the_found_sequence_bound(
     assert (tmp_path / "counterexample.json").exists() == (expected == 2)
 
 
+@pytest.mark.parametrize("source, draws", [("flag", "0"), ("flag", "-3"), ("file", "0")])
+def test_verify_rejects_draws_below_one(monkeypatch, capsys, tmp_path, source, draws):
+    """``--draws 0`` must not fall back to the default draws, nor ``-3`` run a
+    suite of no checks: both exit 1 before any suite runs."""
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli.vf, "su11_membership_suite", no_suite)
+    if source == "flag":
+        extra = ["--draws", draws]
+    else:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"draws = {draws}\n")
+        extra = ["--config", str(cfg_file)]
+    code = main(["verify", *extra, "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert "draws must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t_samples", ["0", "-4"])
+def test_ledger_mode_rejects_t_samples_below_one(capsys, tmp_path, spike_file, t_samples):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"t_samples = {t_samples}\n")
+    code = main(["ledger", "--config", str(cfg_file), "--input", str(spike_file),
+                 "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert "t_samples must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_skips_degenerate_linearization_draws(capsys, tmp_path):
     """This seed draws a single ~1e-4 entry whose deviations all sit below
     the fit's noise floor; the draw is recorded as skipped, not a crash."""

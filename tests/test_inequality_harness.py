@@ -227,6 +227,16 @@ def test_ledger_context_records_binding_site(quad):
     assert "N=" in led["L5"].context
 
 
+@pytest.mark.parametrize("t_samples", [0, -4])
+def test_ledger_rejects_t_samples_below_one(two_half, quad, t_samples):
+    sampler = WeightSampler(two_half)
+    with pytest.raises(ValueError, match="t_samples must be >= 1"):
+        proof_ledger(two_half, ExponentPair(1.5), CC, quad, t_samples=t_samples,
+                     sampler=sampler)
+    # rejected before any grid level is sampled
+    assert sampler.trace_grids is None and not sampler._b_abs
+
+
 @pytest.mark.parametrize("width", [1, 2, 5, 12, 25, 48])
 def test_trace_levels_from_odd_points_match_fresh_evaluation(width):
     """Ledger row levels built from the cached coarser level plus the new

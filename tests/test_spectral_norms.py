@@ -18,6 +18,7 @@ from su11 import (
     parseval_residual,
 )
 from su11.nft_core import product_on_grid_arrays
+from su11.verification import parseval_suite
 
 from conftest import random_sequence_draw, sequence_of_width
 
@@ -221,6 +222,14 @@ def test_parseval_random_draws(quad):
         assert abs(parseval_residual(seq, quad)[0]) <= 1e-9
 
 
+def test_parseval_suite_without_draws_reports_no_draw_residual():
+    """Only checked draws record ``abs_residual``; none are made here."""
+    rep = parseval_suite(n_draws=0)
+    assert rep.n_checked == 1  # the fixture
+    assert "abs_residual" not in rep.worst
+    assert "fixture_residual" in rep.worst
+
+
 def test_refinement_estimates_shrink_statistically(quad):
     """Across the Parseval integrand family, a doubling rarely grows the
     successive-difference estimate by more than 2x (noise floor excluded)."""
@@ -247,7 +256,7 @@ def test_refinement_estimates_shrink_statistically(quad):
 
 def test_frequency_support_pure_tone():
     ts = np.arange(8) / 8
-    assert frequency_support(np.exp(2j * np.pi * ts)) == (1, 1)
+    assert frequency_support(np.exp(2j * np.pi * ts), claimed_bandwidth=1) == (1, 1)
 
 
 def test_frequency_support_b_and_a(two_half):
@@ -264,7 +273,7 @@ def test_frequency_support_alias_guard():
 
 
 def test_frequency_support_all_zero_is_none():
-    assert frequency_support(np.zeros(16, dtype=complex)) is None
+    assert frequency_support(np.zeros(16, dtype=complex), claimed_bandwidth=1) is None
 
 
 def test_quadrature_config_validation():
