@@ -1,10 +1,11 @@
 """Batch front end: su11 verify|ratio|ledger|search|sweep|probe.
 
 Configuration comes from a flat key = value text file plus command-line
-overrides (overrides win).  Randomized runs print their seed first so every
-failure is replayable.  Exit codes: 0 all checks hold, 2 an inequality
-margin violated tolerance (a counterexample file is written), 1 usage or
-domain error.
+flags (flags win); each value's text is parsed once by its key's parser and
+the whole configuration is checked before any mode runs, whatever the mode.
+Randomized runs print their seed first so every failure is replayable.
+Exit codes: 0 all checks hold, 2 an inequality margin violated tolerance
+(a counterexample file is written), 1 usage (argparse's too) or domain error.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 from .nft_core import CoefficientSequence, sequence_from_text, sequence_to_text
 from .spectral_norms import ExponentPair, QuadratureConfig
 from .inequality_harness import (
+    PROBE_SCALES,
     CCParameters,
     CSV_HEADER,
     HyReport,
@@ -29,7 +33,7 @@ from .inequality_harness import (
     proof_ledger,
     quadratic_error_probe,
 )
-from .extremizer_search import SearchConfig, multi_start, p_sweep
+from .extremizer_search import SearchConfig, multi_start, p_sweep, random_sequence
 from . import verification as vf
 
 MODES = ("verify", "ratio", "ledger", "search", "sweep", "probe")
@@ -39,25 +43,38 @@ class ExperimentConfig:
     mode: str
     input: str | None = None
     generator: str | None = None
-    output: str | None = None
+    output: str = "su11-reports"
     seed: int = vf.DEFAULT_SEED
     p: float = 1.5
     p_values: tuple[float, ...] = (1.1, 1.3, 1.5, 1.7, 1.9)
-    rel_tol: float = 1e-10
-    initial_grid: int = 256
-    max_grid: int = 2**20
-    cc: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    l1_cap: float = 0.5
-    window: tuple[int, int] = (0, 7)
-    starts: int = 8
-    max_iters: int = 150
-    init_step: float = 0.1
-    shrink: float = 0.5
-    scales: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
+    rel_tol: float = QuadratureConfig.rel_tol
+    initial_grid: int = QuadratureConfig.initial_grid
+    max_grid: int = QuadratureConfig.max_grid
+    cc: tuple[float, float, float] = astuple(vf.PLACEHOLDER_CC)
+    l1_cap: float = SearchConfig.l1_cap
+    window: tuple[int, int] = SearchConfig.window
+    starts: int = SearchConfig.starts
+    max_iters: int = SearchConfig.max_iters
+    init_step: float = SearchConfig.init_step
+    shrink: float = SearchConfig.shrink
+    scales: tuple[float, ...] = PROBE_SCALES
     draws: int | None = None
     t_samples: int = 16
     workers: int = 1
-    overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Build what the modes build, so a bad value fails here, before any
+        mode prints or writes."""
+        if not self.p_values:
+            raise ConfigError("p_values must not be empty")
+        for p in (self.p, *self.p_values):
+            ExponentPair(p)
+        self.cc_params()
+        self.search()  # builds the QuadratureConfig too
+        for key, low in (("seed", 0), ("draws", 1), ("t_samples", 1), ("workers", 1)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value!r}")
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(self.initial_grid, self.max_grid, self.rel_tol)
@@ -65,16 +82,64 @@ class ExperimentConfig:
     def cc_params(self) -> CCParameters:
         return CCParameters(*self.cc)
 
+    def search(self) -> SearchConfig:
+        return SearchConfig(
+            window=self.window,
+            l1_cap=self.l1_cap,
+            starts=self.starts,
+            max_iters=self.max_iters,
+            init_step=self.init_step,
+            shrink=self.shrink,
+            seed=self.seed,
+            quadrature=self.quadrature(),
+        )
+
     def digest(self) -> str:
-        """Names the experiment, not where or how it runs: ``output``,
-        ``workers`` (every report is byte-identical at any worker count) and
-        the ``overrides`` bookkeeping are left out."""
-        keys = sorted(k for k in vars(self) if k not in ("output", "workers", "overrides"))
+        """Names the experiment, not where or how it runs: ``output`` and
+        ``workers`` (every report is byte-identical at any worker count) are
+        left out."""
+        keys = sorted(k for k in vars(self) if k not in ("output", "workers"))
         blob = repr([(k, getattr(self, k)) for k in keys])
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"overrides"}
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+def _cc(text: str) -> tuple[float, float, float]:
+    parts = _floats(text)
+    if len(parts) != 3:
+        raise ConfigError(f"needs exactly c,gamma,eta, got {text!r}")
+    return parts
+
+
+def _window(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise ConfigError(f"needs LO..HI, got {text!r}")
+    return int(lo), int(hi)
+
+
+# One parser per config key, for file and flag texts alike.
+_PARSERS = {
+    "mode": str, "input": str, "generator": str, "output": str,
+    "seed": int, "p": float, "p_values": _floats, "rel_tol": float,
+    "initial_grid": int, "max_grid": int, "cc": _cc, "l1_cap": float,
+    "window": _window, "starts": int, "max_iters": int, "init_step": float,
+    "shrink": float, "scales": _floats, "draws": int, "t_samples": int,
+    "workers": int,
+}
+
+# The keys a flag sets (``--p-values`` sets ``p_values``), with their help.
+_FLAGS = {
+    "input": "sequence file (.txt or .json)",
+    "generator": "spike:MAG[@IDX] | equal:N,MAG[,START] | random:LO..HI,L1",
+    "output": "report directory (default su11-reports)",
+    "seed": None, "p": None, "p_values": None, "rel_tol": None,
+    "cc": "c,gamma,eta", "l1_cap": None, "window": "LO..HI",
+    "starts": None, "max_iters": None, "draws": None, "workers": None,
+}
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -87,61 +152,25 @@ def _parse_kv_file(path: str) -> dict:
             raise ConfigError(f"{path}:{i}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"{path}:{i}: unknown key {key!r}")
         out[key] = val
     return out
 
 
-def _coerce(cfg: ExperimentConfig, key: str, val: str):
-    if key in ("input", "generator", "output", "mode"):
-        setattr(cfg, key, val)
-    elif key in ("seed", "initial_grid", "max_grid", "starts", "max_iters",
-                 "t_samples", "workers", "draws"):
-        setattr(cfg, key, int(val))
-    elif key in ("p", "rel_tol", "l1_cap", "init_step", "shrink"):
-        setattr(cfg, key, float(val))
-    elif key == "p_values":
-        cfg.p_values = tuple(float(x) for x in val.replace(",", " ").split())
-    elif key == "scales":
-        cfg.scales = tuple(float(x) for x in val.replace(",", " ").split())
-    elif key == "cc":
-        parts = [float(x) for x in val.replace(",", " ").split()]
-        if len(parts) != 3:
-            raise ConfigError("cc needs exactly c,gamma,eta")
-        cfg.cc = tuple(parts)
-    elif key == "window":
-        lo, _, hi = val.replace("..", " ").partition(" ")
-        cfg.window = (int(lo), int(hi))
-    else:
-        raise ConfigError(f"unknown key {key!r}")
-
-
 def load_config(mode: str, args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(mode=mode)
-    if args.config:
-        for key, val in _parse_kv_file(args.config).items():
-            if key == "mode":
-                continue  # subcommand wins
-            _coerce(cfg, key, val)
-    for key in ("input", "generator", "output", "seed", "p", "rel_tol",
-                "l1_cap", "starts", "max_iters", "draws", "workers"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-            cfg.overrides[key] = val
-    if args.cc is not None:
-        _coerce(cfg, "cc", args.cc)
-        cfg.overrides["cc"] = args.cc
-    if args.window is not None:
-        _coerce(cfg, "window", args.window)
-        cfg.overrides["window"] = args.window
-    if getattr(args, "p_values", None) is not None:
-        _coerce(cfg, "p_values", args.p_values)
-        cfg.overrides["p_values"] = args.p_values
-    if cfg.draws is not None and cfg.draws < 1:
-        raise ConfigError(f"draws must be >= 1, got {cfg.draws!r}")
-    return cfg
+    """The config file's texts, overwritten by each given flag and by the
+    subcommand, each parsed once; building the config checks every value."""
+    texts = _parse_kv_file(args.config) if args.config else {}
+    texts.update({k: v for k in _FLAGS if (v := getattr(args, k)) is not None})
+    texts["mode"] = mode
+    values = {}
+    for key, text in texts.items():
+        try:
+            values[key] = _PARSERS[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return ExperimentConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +193,6 @@ def _generate(spec: str, seed: int) -> CoefficientSequence:
         if kind == "random":
             rng_spec, _, l1 = rest.partition(",")
             lo, _, hi = rng_spec.partition("..")
-            import numpy as np
-
-            from .extremizer_search import random_sequence
-
             rng = np.random.default_rng(seed)
             return random_sequence(rng, (int(lo), int(hi)), float(l1))
     except (ValueError, IndexError) as exc:
@@ -223,16 +248,12 @@ def emit_report(records, fmt: str, path: str | Path):
     path.write_text(text)
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.output) if cfg.output else Path("su11-reports")
-
-
 def _counterexample_exit(cfg: ExperimentConfig, failures: dict) -> int:
     """Write counterexample.json, print its path and return exit code 2.
 
     ``failures`` maps each failing suite's name to its counterexamples.
     """
-    path = _out_dir(cfg) / "counterexample.json"
+    path = Path(cfg.output) / "counterexample.json"
     payload = {
         "config_digest": cfg.digest(),
         "seed": cfg.seed,
@@ -251,11 +272,11 @@ def _counterexample_exit(cfg: ExperimentConfig, failures: dict) -> int:
 def _run_verify(cfg: ExperimentConfig) -> int:
     print(f"seed {cfg.seed}")
     quad = cfg.quadrature()
-    n = cfg.draws
+    n = {} if cfg.draws is None else {"n_draws": cfg.draws}
     reports = [
-        vf.su11_membership_suite(n or 500, cfg.seed),
-        vf.parseval_suite(n or 100, cfg.seed, quad),
-        vf.frequency_support_suite(n or 100, cfg.seed),
+        vf.su11_membership_suite(seed=cfg.seed, **n),
+        vf.parseval_suite(seed=cfg.seed, cfg=quad, **n),
+        vf.frequency_support_suite(seed=cfg.seed, **n),
         vf.spike_equality_suite(cfg.seed, cfg=quad),
         vf.order_sensitivity_suite(cfg.seed),
         vf.linearization_suite(cfg.seed),
@@ -263,7 +284,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     for rep in reports:
         for line in rep.summary_lines():
             print(line)
-    out = _out_dir(cfg)
+    out = Path(cfg.output)
     emit_report([r.to_dict() for r in reports], "json", out / "verify.json")
     if not all(r.passed for r in reports):
         return _counterexample_exit(
@@ -278,7 +299,7 @@ def _run_ratio(cfg: ExperimentConfig) -> int:
     print(f"seed {cfg.seed}")
     print(CSV_HEADER)
     print(report.to_csv_row())
-    out = _out_dir(cfg)
+    out = Path(cfg.output)
     emit_report([report], "csv", out / "ratio.csv")
     emit_report([report], "json", out / "ratio.json")
     return 0
@@ -294,7 +315,7 @@ def _run_ledger(cfg: ExperimentConfig) -> int:
     print(CSV_HEADER)
     for e in entries:
         print(e.to_csv_row())
-    out = _out_dir(cfg)
+    out = Path(cfg.output)
     emit_report(entries, "csv", out / "ledger.csv")
     emit_report(entries, "json", out / "ledger.json")
     violated = [e for e in entries if not e.holds and not e.precondition_failed]
@@ -306,19 +327,6 @@ def _run_ledger(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _search_config(cfg: ExperimentConfig) -> SearchConfig:
-    return SearchConfig(
-        window=cfg.window,
-        l1_cap=cfg.l1_cap,
-        starts=cfg.starts,
-        max_iters=cfg.max_iters,
-        init_step=cfg.init_step,
-        shrink=cfg.shrink,
-        seed=cfg.seed,
-        quadrature=cfg.quadrature(),
-    )
-
-
 def _violates_small_bound(seq: CoefficientSequence, ratio: float) -> bool:
     """ratio above the bound 1 + 3 ||F||_1 that the small-sequence theorem
     states for this F (held to 1e-6 absolute)."""
@@ -327,10 +335,10 @@ def _violates_small_bound(seq: CoefficientSequence, ratio: float) -> bool:
 
 def _run_search(cfg: ExperimentConfig) -> int:
     print(f"seed {cfg.seed}")
-    scfg = _search_config(cfg)
+    scfg = cfg.search()
     res = multi_start(ExponentPair(cfg.p), scfg, workers=cfg.workers)
     print(f"best_ratio {res.best_ratio!r} from start {res.start_index}")
-    out = _out_dir(cfg)
+    out = Path(cfg.output)
     emit_report([res.to_dict(scfg)], "json", out / "search.json")
     seq_path = out / "best_F.txt"
     seq_path.parent.mkdir(parents=True, exist_ok=True)
@@ -346,11 +354,11 @@ def _run_search(cfg: ExperimentConfig) -> int:
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
     print(f"seed {cfg.seed}")
-    rows = p_sweep(cfg.p_values, _search_config(cfg), workers=cfg.workers)
+    rows = p_sweep(cfg.p_values, cfg.search(), workers=cfg.workers)
     print("p q best_ratio digest")
     for row in rows:
         print(f"{row.p!r} {row.q!r} {row.best_ratio!r} {row.digest}")
-    out = _out_dir(cfg)
+    out = Path(cfg.output)
     emit_report([r.to_dict() for r in rows], "json", out / "sweep.json")
     emit_report([(r.p, r.best_ratio) for r in rows], "plot", out / "sweep.dat")
     bad = [r for r in rows if cfg.l1_cap <= 0.5
@@ -368,7 +376,7 @@ def _run_probe(cfg: ExperimentConfig) -> int:
     probe = quadratic_error_probe(seq, cfg.scales)
     print(f"seed {cfg.seed}")
     print(f"slope {probe.slope!r}")
-    out = _out_dir(cfg)
+    out = Path(cfg.output)
     emit_report(
         [{"slope": probe.slope, "scales": list(probe.scales),
           "deviations": list(probe.deviations)}],
@@ -398,8 +406,13 @@ def run(cfg: ExperimentConfig) -> int:
     return _DRIVERS[cfg.mode](cfg)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, like any other
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="su11",
         description="Verification and search harness for SU(1,1)-valued "
         "nonlinear Fourier products.",
@@ -408,32 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--input", help="sequence file (.txt or .json)")
-        sp.add_argument("--generator", help="spike:MAG[@IDX] | equal:N,MAG[,START] | random:LO..HI,L1")
-        sp.add_argument("--output", help="report directory (default su11-reports)")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--p-values", dest="p_values")
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-        sp.add_argument("--cc", help="c,gamma,eta")
-        sp.add_argument("--l1-cap", dest="l1_cap", type=float)
-        sp.add_argument("--window", help="LO..HI")
-        sp.add_argument("--starts", type=int)
-        sp.add_argument("--max-iters", dest="max_iters", type=int)
-        sp.add_argument("--draws", type=int)
-        sp.add_argument("--workers", type=int)
+        for key, help_text in _FLAGS.items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.mode, args)
-        code = run(cfg)
+        args = build_parser().parse_args(argv)
+        return run(load_config(args.mode, args))
     except (FileNotFoundError, ValueError) as exc:  # every su11 error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return code
 
 
 if __name__ == "__main__":

@@ -53,6 +53,10 @@ class SearchConfig:
             raise ValueError("empty window")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if not self.init_step > 0:
+            raise ValueError("init_step must be positive")
 
 
 @dataclass(frozen=True)

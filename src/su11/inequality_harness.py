@@ -45,6 +45,8 @@ from .spectral_norms import (
 DEFAULT_MARGIN_TOL = 1e-9
 # Points of the uniform grid on which the linearization probe takes its max.
 _PROBE_GRID = 512
+# Default scales of the linearization probe (the canonical octave ladder).
+PROBE_SCALES = (0.1, 0.05, 0.025, 0.0125)
 
 CSV_HEADER = "check_id,p,q,lhs,rhs,ratio,bound,margin,converged,context"
 

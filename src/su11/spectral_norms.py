@@ -32,7 +32,7 @@ class ExponentPair:
     """
 
     p: float
-    q: float = field(default=math.nan)
+    q: float = field(init=False)
 
     def __post_init__(self):
         p = float(self.p)

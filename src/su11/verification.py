@@ -29,6 +29,7 @@ from .spectral_norms import (
     parseval_residual,
 )
 from .inequality_harness import (
+    PROBE_SCALES,
     CCParameters,
     alpha_delta,
     condition_check,
@@ -291,6 +292,8 @@ def theorem1_suite(
                             rep.fail(F=seq.to_json_dict(), p=p,
                                      check=entry.check_id,
                                      margin=entry.margin, kind="ledger")
+    if with_ledger:
+        rep.notes.append(f"ledger {PLACEHOLDER_CC.label()}")
     return rep
 
 
@@ -441,10 +444,9 @@ def linearization_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     """
     rng = np.random.default_rng(seed)
     rep = SuiteReport("linearization", seed)
-    scales = (0.1, 0.05, 0.025, 0.0125)
 
     fixture = CoefficientSequence(0, (0.5, 0.5))
-    probe = quadratic_error_probe(fixture, scales)
+    probe = quadratic_error_probe(fixture, PROBE_SCALES)
     rep.n_checked += 1
     rep.record_worst("fixture_slope", probe.slope)
     if probe.slope < 2.0 - 0.1:
@@ -456,7 +458,7 @@ def linearization_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
         if seq.is_zero():
             continue
         try:
-            probe = quadratic_error_probe(seq, scales)
+            probe = quadratic_error_probe(seq, PROBE_SCALES)
         except DegenerateFitError:
             degenerate += 1
             continue

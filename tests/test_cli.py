@@ -1,4 +1,6 @@
 import json
+import shlex
+from dataclasses import fields
 
 import pytest
 
@@ -68,6 +70,90 @@ def test_config_digest_ignores_the_report_directory(tmp_path):
 def test_config_digest_ignores_the_worker_count():
     one = ExperimentConfig(mode="search", workers=1)
     assert one.digest() == ExperimentConfig(mode="search", workers=4).digest()
+
+
+def test_config_table_flags_and_fields_agree():
+    """Every config key parses through ``_PARSERS``, and the 14 flags each
+    set one config key and hand it over as text."""
+    keys = {f.name for f in fields(ExperimentConfig)}
+    assert set(cli._PARSERS) == keys
+    spellings = ["--input", "--generator", "--output", "--seed", "--p", "--p-values",
+                 "--rel-tol", "--cc", "--l1-cap", "--window", "--starts",
+                 "--max-iters", "--draws", "--workers"]
+    for mode in cli.MODES:
+        argv = [mode] + [a for flag in spellings for a in (flag, "7")]
+        given = vars(build_parser().parse_args(argv))
+        assert given == {"mode": mode, "config": None, **{k: "7" for k in cli._FLAGS}}
+    assert set(cli._FLAGS) < keys and len(cli._FLAGS) == len(spellings)
+
+
+def test_default_and_flag_built_digests_are_pinned():
+    expected = {
+        "verify": "6ba33316c237", "ratio": "4520087ef75d", "ledger": "7fea473eafca",
+        "search": "684bc4e4898f", "sweep": "7ae1d3f125f6", "probe": "43e683f6d345",
+    }
+    for mode, digest in expected.items():
+        assert load_config(mode, build_parser().parse_args([mode])).digest() == digest
+    argv = ["sweep", "--p-values", "1.1 1.5", "--window", "0..3", "--cc", "1,1,0.5",
+            "--seed", "7", "--starts", "2"]
+    assert load_config("sweep", build_parser().parse_args(argv)).digest() == "353637ea20d9"
+
+
+# (mode, flags or None, config-file line, words the message names)
+_BAD_INPUTS = [
+    ("search", "--max-iters -1", "max_iters = -1", "max_iters must be >= 0"),
+    ("search", None, "init_step = -0.1", "init_step must be positive"),
+    ("sweep", "--p-values ''", "p_values =", "p_values must not be empty"),
+    ("sweep", "--window 3", "window = 3", "window: needs LO..HI"),
+    ("verify", "--draws x", "draws = x", "draws: invalid literal"),
+    ("search", "--workers 0", "workers = 0", "workers must be >= 1"),
+    ("verify", "--cc 1,1,2", "cc = 1,1,2", "eta must lie in (0, 1]"),
+    ("search", "--starts 0", "starts = 0", "starts must be >= 1"),
+    ("verify", "--no-such-flag 1", "no_such_key = 1", None),
+]
+
+
+@pytest.mark.parametrize("mode, source, setting, message", [
+    pytest.param(mode, source, setting, message, id=setting)
+    for mode, flag, line, message in _BAD_INPUTS
+    for source, setting in (("flag", flag), ("file", line))
+    if setting is not None
+])
+def test_bad_setting_exits_1_before_any_work(
+    capsys, tmp_path, mode, source, setting, message
+):
+    """A bad value fails in ``load_config``, whatever the mode: exit 1 with a
+    message naming the key or the rule, no seed line, no report directory."""
+    if source == "flag":
+        extra = shlex.split(setting)
+    else:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(setting + "\n")
+        extra = ["--config", str(cfg_file)]
+    out = tmp_path / "out"
+    code = main([mode, *extra, "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "seed" not in captured.out
+    assert not out.exists()
+    if message is None:  # an unknown flag or key
+        message = "unrecognized arguments" if source == "flag" else "unknown key"
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("bad", [
+    {"draws": 0}, {"p_values": ()}, {"max_iters": -1}, {"cc": (1.0, 1.0, 2.0)},
+])
+def test_config_built_directly_is_checked_too(bad):
+    with pytest.raises(ValueError):
+        ExperimentConfig(mode="verify", **bad)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--max-iters" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from su11.extended import mp_det_residual, mp_hy_margin
 from su11.inequality_harness import _TraceGrids
 from su11.nft_core import product_on_grid_arrays
 from su11.spectral_norms import WeightSampler
-from su11.verification import THEOREM1_PS
+from su11.verification import PLACEHOLDER_CC, THEOREM1_PS, theorem1_suite
 
 from conftest import random_sequence_draw, sequence_of_width
 
@@ -292,6 +292,12 @@ def test_ledger_with_shared_sampler_matches_fresh_calls(quad):
             shared = proof_ledger(seq, e, CC, quad, t_samples=12, sampler=sampler)
             fresh = proof_ledger(seq, e, CC, quad, t_samples=12)
             assert _nan_safe(shared) == _nan_safe(fresh), (seq, p)
+
+
+def test_theorem1_suite_echoes_its_ledger_triple():
+    rep = theorem1_suite(n_draws=2, seed=1)
+    assert f"ledger {PLACEHOLDER_CC.label()}" in rep.notes
+    assert theorem1_suite(n_draws=2, seed=1, with_ledger=False).notes == []
 
 
 # ---------------------------------------------------------------------------

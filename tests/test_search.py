@@ -194,6 +194,10 @@ def test_search_config_validation():
         small_config(window=(3, 1))
     with pytest.raises(ValueError):
         small_config(starts=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SearchConfig(max_iters=-1)
+    with pytest.raises(ValueError, match="init_step"):
+        SearchConfig(init_step=0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,12 @@ def test_exponent_pair_endpoints():
     assert ExponentPair(1.0).q == math.inf
 
 
+def test_exponent_pair_q_is_derived_not_settable():
+    with pytest.raises(TypeError):
+        ExponentPair(1.5, q=99.0)
+    assert repr(ExponentPair(1.5)) == "ExponentPair(p=1.5, q=3.0)"
+
+
 @pytest.mark.parametrize("bad", [0.5, 0.99, 2.3, -1.0])
 def test_exponent_pair_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
