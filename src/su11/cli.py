@@ -23,6 +23,7 @@ from .errors import ConfigError
 from .nft_core import CoefficientSequence, sequence_from_text, sequence_to_text
 from .spectral_norms import ExponentPair, QuadratureConfig
 from .inequality_harness import (
+    LEDGER_T_SAMPLES,
     PROBE_SCALES,
     CCParameters,
     CSV_HEADER,
@@ -59,12 +60,14 @@ class ExperimentConfig:
     shrink: float = SearchConfig.shrink
     scales: tuple[float, ...] = PROBE_SCALES
     draws: int | None = None
-    t_samples: int = 16
+    t_samples: int = LEDGER_T_SAMPLES
     workers: int = 1
 
     def __post_init__(self):
         """Build what the modes build, so a bad value fails here, before any
         mode prints or writes."""
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if not self.p_values:
             raise ConfigError("p_values must not be empty")
         for p in (self.p, *self.p_values):
@@ -401,8 +404,6 @@ _DRIVERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    if cfg.mode not in MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
     return _DRIVERS[cfg.mode](cfg)
 
 

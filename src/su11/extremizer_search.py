@@ -25,7 +25,7 @@ from .errors import ZeroSequenceError
 from .nft_core import (
     CoefficientSequence, sequence_to_text, _fold, _fold_rows, _grid_phases, _log_a_sq,
 )
-from .spectral_norms import ExponentPair, QuadratureConfig, lq_norm_periodic
+from .spectral_norms import ExponentPair, QuadratureConfig, _refined_level, lq_norm_periodic
 from .inequality_harness import hy_ratio
 
 _ENTRY_CAP = 1.0 - 1e-12
@@ -67,19 +67,17 @@ class SearchResult:
     iters_used: int
     start_index: int
 
-    def to_dict(self, config: SearchConfig | None = None) -> dict:
-        d = {
+    def to_dict(self, config: SearchConfig) -> dict:
+        return {
             "best_F": self.best_F.to_json_dict(),
             "best_ratio": self.best_ratio,
             "p": self.exponents.p,
             "q": self.exponents.q,
             "iters_used": self.iters_used,
             "start_index": self.start_index,
+            "seed": config.seed,
+            "config_digest": config_digest(config),
         }
-        if config is not None:
-            d["seed"] = config.seed
-            d["config_digest"] = config_digest(config)
-        return d
 
 
 def config_digest(cfg: SearchConfig) -> str:
@@ -132,73 +130,60 @@ class _WalkEvaluator:
 
     The torus side refines through ``lq_norm_periodic`` at the walk's
     tolerance ``quad``, like every other norm.  The level function is the
-    walk's own: every candidate shares the window, so it keeps one table of
-    per-index phase rows per grid (gathered by ``nft_core._grid_phases``),
-    where a fresh ``WeightSampler`` per candidate would gather every phase
-    row for every candidate.
+    walk's own: every candidate shares the window, so the phase rows of the
+    batch grid ``2 * initial_grid`` are gathered once (by
+    ``nft_core._grid_phases``), where a fresh ``WeightSampler`` per
+    candidate would gather them for every candidate.
 
-    ``speculate(cands)`` announces the candidates the walk is about to try
-    on one coordinate.  On the next level request they are folded together,
-    as one ``(rows, 2 * initial_grid)`` batch through ``_fold_rows``; the
-    even columns of that batch are the ``initial_grid`` level, since
-    ``2j / 2M`` and ``j / M`` round to the same double.  ``ratio(vals)``
-    then reads those two levels from the batch, bit-identical to folding
-    ``vals`` alone, and folds a third level by itself only when ``_refine``
-    asks for one.  The walk's final answer is always re-certified through
-    hy_ratio at full tolerance.
+    ``ratios(cands)`` folds the candidates one coordinate tries as one
+    ``(rows, 2 * initial_grid)`` batch through ``_fold_rows``; the even
+    columns of that batch are the ``initial_grid`` level, since ``2j / 2M``
+    and ``j / M`` round to the same double.  ``ratio(vals, levels)`` refines
+    from those two levels, bit-identical to folding ``vals`` alone, and a
+    level past them samples only its new odd points (``_refined_level``).
+    Nothing is kept between calls.  The walk's final answer is always
+    re-certified through hy_ratio at full tolerance.
     """
 
     def __init__(self, offset: int, count: int, exponents: ExponentPair,
                  quad: QuadratureConfig):
         self.offset = offset
-        self.count = count
         self.q = exponents.q
         self.p = exponents.p
         self.quad = quad
-        self._phase: dict[int, np.ndarray] = {}
-        self._pending: list[np.ndarray] = []
-        self._levels: dict[tuple[bytes, int], np.ndarray] = {}
+        self._grid = 2 * quad.initial_grid
+        # row k is the phase of entry k on the batch grid
+        self._phase = np.array([_grid_phases(offset + k, self._grid) for k in range(count)])
 
-    def _phase_table(self, grid: int) -> np.ndarray:
-        tab = self._phase.get(grid)
-        if tab is None:
-            tab = np.array([_grid_phases(self.offset + k, grid) for k in range(self.count)])
-            self._phase[grid] = tab
-        return tab
-
-    def speculate(self, cands: list[np.ndarray]) -> None:
-        """Fold the first two levels of ``cands`` together on the next level
-        request; levels of earlier candidates are dropped."""
-        self._pending = cands
-        self._levels = {}
-
-    def _fold_pending(self) -> None:
-        grid = 2 * self.quad.initial_grid
-        _, b = _fold_rows(np.array(self._pending), self._phase_table(grid).__getitem__, grid)
+    def ratios(self, cands: list[np.ndarray]):
+        """The ratio of each candidate in turn (None for the zero one), from
+        one batch fold; a candidate is refined only when its ratio is asked
+        for, so one after an accepted step never is."""
+        grid = self._grid
+        _, b = _fold_rows(np.array(cands), self._phase.__getitem__, grid)
         weights = np.sqrt(np.log1p(np.abs(b) ** 2))
-        for cand, row in zip(self._pending, weights):
-            key = cand.tobytes()
-            self._levels[key, grid] = row
-            self._levels[key, grid // 2] = row[::2]
-        self._pending = []
+        for cand, row in zip(cands, weights):
+            if not np.any(cand != 0):
+                yield None
+            else:
+                yield self.ratio(cand, {grid // 2: row[::2], grid: row})
 
-    def _lhs_on_grid(self, vals: np.ndarray, grid: int) -> np.ndarray:
-        """The weight (log|a|^2)^(1/2) of ``vals`` at the points j / grid."""
-        if self._pending:
-            self._fold_pending()
-        level = self._levels.get((vals.tobytes(), grid))
-        if level is not None:
-            return level
-        # row k of the table is the phase of entry k
-        _, b = _fold(enumerate(vals), self._phase_table(grid).__getitem__, grid)
-        return np.sqrt(np.log1p(np.abs(b) ** 2))
+    def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict) -> np.ndarray:
+        """The weight (log|a|^2)^(1/2) of ``vals`` at the points j / grid,
+        from ``levels`` or built into it."""
+        def fresh(ts, at):
+            _, b = _fold(enumerate(vals), lambda k: _grid_phases(self.offset + k, *at), ts.shape)
+            return np.sqrt(np.log1p(np.abs(b) ** 2))
 
-    def ratio(self, vals: np.ndarray) -> float:
+        return _refined_level(levels, grid, fresh)
+
+    def ratio(self, vals: np.ndarray, levels: dict) -> float:
         # summed here rather than by lp_sequence_norm, which rounds
         # differently; the walk's r > best test is decided in the last bits
         weights = [math.sqrt(_log_a_sq(abs(v))) for v in vals if v != 0]
         rhs = float(np.sum(np.asarray(weights) ** self.p)) ** (1.0 / self.p)
-        lhs = lq_norm_periodic(lambda grid: self._lhs_on_grid(vals, grid), self.q, self.quad)
+        lhs = lq_norm_periodic(lambda grid: self._lhs_on_grid(vals, grid, levels),
+                               self.q, self.quad)
         return lhs.value / rhs
 
 
@@ -212,14 +197,15 @@ def local_search(
 
     On coordinate k the walk tries the steps +s, -s, +is, -is in turn and
     accepts each one that beats the running best (Gauss-Seidel: a later
-    step starts from the accepted point).  The steps not yet tried are
-    speculated from the current point and evaluated as one batch; after an
-    acceptance the remaining ones are stale and are rebuilt from the new
-    point, so the trajectory is the one-at-a-time walk's, bit for bit.
-    Every full sweep without an accepted move shrinks the step; the walk
-    stops after ``max_iters`` sweeps or once the step drops below 1e-12.
-    The returned ratio is re-evaluated at the full quadrature tolerance and
-    never falls below the starting ratio by more than 1e-12.
+    step starts from the accepted point).  The steps not yet tried are built
+    from the current point and folded as one batch by
+    ``_WalkEvaluator.ratios``, which refines each only when the walk reaches
+    it; after an acceptance the remaining ones are stale and are rebuilt
+    from the new point, so the trajectory is the one-at-a-time walk's, bit
+    for bit.  Every full sweep without an accepted move shrinks the step;
+    the walk stops after ``max_iters`` sweeps or once the step drops below
+    1e-12.  The returned ratio is re-evaluated at the full quadrature
+    tolerance and never falls below the starting ratio by more than 1e-12.
     """
     if start.is_zero():
         raise ZeroSequenceError("local_search needs a nonzero start")
@@ -229,7 +215,7 @@ def local_search(
         cfg.quadrature, rel_tol=max(cfg.coarse_rel_tol, cfg.quadrature.rel_tol)
     )
     coarse = _WalkEvaluator(offset, vals.size, exponents, walk_quad)
-    best = coarse.ratio(vals)
+    best = next(coarse.ratios([vals]))
     step = cfg.init_step
     sweeps = 0
     while sweeps < cfg.max_iters and step >= _MIN_STEP:
@@ -243,13 +229,9 @@ def local_search(
                     cand = vals.copy()
                     cand[k] += delta
                     cands.append(_project(cand, cfg.l1_cap))
-                coarse.speculate(cands)
-                for cand in cands:
+                for cand, r in zip(cands, coarse.ratios(cands)):
                     tried += 1
-                    if not np.any(cand != 0):
-                        continue
-                    r = coarse.ratio(cand)
-                    if r > best:
+                    if r is not None and r > best:
                         best, vals = r, cand
                         improved = True
                         break

@@ -12,7 +12,7 @@ input meets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,8 @@ DEFAULT_MARGIN_TOL = 1e-9
 _PROBE_GRID = 512
 # Default scales of the linearization probe (the canonical octave ladder).
 PROBE_SCALES = (0.1, 0.05, 0.025, 0.0125)
+# Uniform points of t at which the proof ledger checks link L3.
+LEDGER_T_SAMPLES = 16
 
 CSV_HEADER = "check_id,p,q,lhs,rhs,ratio,bound,margin,converged,context"
 
@@ -259,11 +261,8 @@ def theorem1_margin(
     base = hy_ratio(seq, exponents, cfg, sampler=sampler)
     bound = 1.0 + 3.0 * l1
     margin = bound * base.rhs - base.lhs.value
-    return HyReport(
-        exponents=exponents,
-        lhs=base.lhs,
-        rhs=base.rhs,
-        ratio=base.ratio,
+    return replace(
+        base,
         bound_label="1+3*l1",
         bound=bound,
         margin=margin,
@@ -336,11 +335,8 @@ def theorem2_margin(
     base = hy_ratio(seq, exponents, cfg, sampler=sampler)
     margin = base.rhs - base.lhs.value
     refined_factor = 1.0 - 9.0 * cond.l1**2
-    return HyReport(
-        exponents=exponents,
-        lhs=base.lhs,
-        rhs=base.rhs,
-        ratio=base.ratio,
+    return replace(
+        base,
         bound_label="sharp-1",
         bound=1.0,
         margin=margin,
@@ -431,7 +427,7 @@ def proof_ledger(
     exponents: ExponentPair,
     cc: CCParameters,
     cfg: QuadratureConfig,
-    t_samples: int = 16,
+    t_samples: int = LEDGER_T_SAMPLES,
     sampler: WeightSampler | None = None,
 ) -> list[LedgerEntry]:
     """Evaluate the nine-link estimate chain on one input.

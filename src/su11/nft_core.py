@@ -16,7 +16,9 @@ t and in any factor order, runs through the one fold ``_fold`` with phase
 rows from ``_phases``; the grid entry point ``product_on_grid_arrays(F, ts)``
 at ``ts[j]`` and the scalar ``evaluate_product(F, ts[j])`` agree bit for bit.
 ``_fold_rows`` folds several sequences at once with the same step
-``_step``, each row bit-identical to its own ``_fold``.
+``_step``; it steps every entry, a zero one as the exact identity factor,
+so each row matches its own ``_fold`` (which skips zeros) bit for bit up to
+the sign of a zero, and |a|, |b| exactly.
 
 Every quadrature level is a power-of-two grid ``j / M``, and there the
 phases need no ``exp``: ``j / M``, ``n * j / M`` and its reduction mod 1 are
@@ -271,24 +273,22 @@ def _fold_rows(rows: np.ndarray, phase, grid: int) -> tuple[np.ndarray, np.ndarr
     """``_fold`` of several sequences that share their indices, at once.
 
     ``rows[r, k]`` is entry k of sequence r and ``phase(k)`` the row of its
-    phases on ``grid`` points; the result has shape ``(len(rows), grid)``
-    and row r is bit-identical to ``_fold(enumerate(rows[r]), phase, grid)``:
-    each ``(A_n, B_n)`` comes from the scalar ``_factor``, the step is the
-    same elementwise arithmetic, and a zero entry leaves its own row alone
-    while the other rows take the factor.
+    phases on ``grid`` points; the result has shape ``(len(rows), grid)``.
+    Each ``(A_n, B_n)`` comes from the scalar ``_factor`` and the step is
+    ``_fold``'s elementwise arithmetic, so row r is
+    ``_fold(enumerate(rows[r]), phase, grid)`` bit for bit, up to the sign
+    of a zero: every entry takes its step, and a zero entry is the exact
+    identity factor ``_factor(0) = (1.0, 0j)``, whose step returns a and b
+    unchanged but for the sign of a zero part.  |a| and |b| are bit-identical.
     """
-    live = rows != 0
-    A = np.ones(rows.shape)
-    B = np.zeros(rows.shape, dtype=complex)
-    for r, k in zip(*np.nonzero(live)):
-        A[r, k], B[r, k] = _factor(rows[r, k])
+    A = np.empty(rows.shape)
+    B = np.empty(rows.shape, dtype=complex)
+    for (r, k), v in np.ndenumerate(rows):
+        A[r, k], B[r, k] = _factor(v)
     a = np.ones((len(rows), grid), dtype=complex)
     b = np.zeros((len(rows), grid), dtype=complex)
-    for k, on in enumerate(live.T):
-        if on.all():
-            a, b = _step(a, b, A[:, k, None], B[:, k, None], phase(k))
-        elif on.any():
-            a[on], b[on] = _step(a[on], b[on], A[on, k, None], B[on, k, None], phase(k))
+    for k in range(rows.shape[1]):
+        a, b = _step(a, b, A[:, k, None], B[:, k, None], phase(k))
     return a, b
 
 

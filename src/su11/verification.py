@@ -29,6 +29,7 @@ from .spectral_norms import (
     parseval_residual,
 )
 from .inequality_harness import (
+    LEDGER_T_SAMPLES,
     PROBE_SCALES,
     CCParameters,
     alpha_delta,
@@ -249,7 +250,7 @@ def spike_equality_suite(
 def theorem1_suite(
     n_draws: int = 1000,
     seed: int = DEFAULT_SEED,
-    t_samples: int = 16,
+    t_samples: int = LEDGER_T_SAMPLES,
     with_ledger: bool = True,
 ) -> SuiteReport:
     """Small-sequence bound, uniform corollary, and ledger links L1-L7.

@@ -1,3 +1,4 @@
+import inspect
 import json
 import shlex
 from dataclasses import fields
@@ -9,7 +10,7 @@ from su11.cli import ExperimentConfig, build_parser, emit_report, load_config, m
 from su11 import cli
 from su11.errors import ConfigError
 from su11.extremizer_search import SearchResult, SweepRow
-from su11.inequality_harness import CSV_HEADER
+from su11.inequality_harness import CSV_HEADER, proof_ledger
 from su11.nft_core import sequence_from_text, sequence_to_text
 
 
@@ -147,6 +148,16 @@ def test_bad_setting_exits_1_before_any_work(
 def test_config_built_directly_is_checked_too(bad):
     with pytest.raises(ValueError):
         ExperimentConfig(mode="verify", **bad)
+
+
+def test_config_rejects_an_unknown_mode_on_construction():
+    with pytest.raises(ConfigError, match="unknown mode 'nope'"):
+        ExperimentConfig(mode="nope")
+
+
+def test_ledger_t_samples_default_is_the_ledger_default():
+    default = inspect.signature(proof_ledger).parameters["t_samples"].default
+    assert ExperimentConfig(mode="ledger").t_samples == default
 
 
 def test_help_exits_0(capsys):

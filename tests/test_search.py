@@ -18,6 +18,7 @@ from su11 import (
     p_sweep,
     random_sequence,
 )
+from su11 import extremizer_search
 from su11.extremizer_search import (
     _MIN_STEP, _WalkEvaluator, _project, _rng_for_start, sequence_digest,
 )
@@ -38,14 +39,14 @@ def test_walk_evaluator_matches_canonical_ratio():
         if seq.is_zero():
             continue
         ev = _WalkEvaluator(0, n, e, QuadratureConfig(max_grid=2**16, rel_tol=1e-7))
-        fast = ev.ratio(np.array(vals))
+        fast = next(ev.ratios([np.array(vals)]))
         slow = hy_ratio(seq, e, QuadratureConfig()).ratio
         assert abs(fast - slow) <= 1e-6 * max(1.0, slow)
 
 
 def test_walk_ratio_is_the_sampler_quadrature_bit_for_bit():
-    """The walk's cached phase table and the sampler's odd-point levels give
-    the same torus norm to the last bit, so the walk ranks candidates by the
+    """The walk's batch fold and the sampler's odd-point levels give the
+    same torus norm to the last bit, so the walk ranks candidates by the
     canonical lhs over the walk's own rhs."""
     rng = np.random.default_rng(20260808)
     walk_quad = QuadratureConfig(initial_grid=64, max_grid=2**16, rel_tol=1e-7)
@@ -62,7 +63,7 @@ def test_walk_ratio_is_the_sampler_quadrature_bit_for_bit():
         weights = [math.sqrt(_log_a_sq(abs(v))) for v in vals if v != 0]
         rhs = float(np.sum(np.asarray(weights) ** e.p)) ** (1.0 / e.p)
         lhs = lq_norm_periodic(WeightSampler(seq).on_grid, e.q, walk_quad)
-        ratio = _WalkEvaluator(offset, n, e, walk_quad).ratio(vals)
+        ratio = next(_WalkEvaluator(offset, n, e, walk_quad).ratios([vals]))
         mismatches += ratio != lhs.value / rhs
     assert mismatches == 0
 
@@ -74,48 +75,84 @@ def _random_rows(rng, rows, width, zero_frac):
     return vals
 
 
+class _RecordingEvaluator(_WalkEvaluator):
+    """Keeps each candidate with the levels ``ratios`` seeded it with."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seeded = []
+
+    def ratio(self, vals, levels):
+        self.seeded.append((vals, dict(levels)))
+        return super().ratio(vals, levels)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8),
        st.integers(-20, 20), st.sampled_from((1, 2, 4, 8, 64, 256)))
 @settings(max_examples=80, deadline=None)
 def test_batched_levels_match_one_row_folds(seed, rows, width, offset, grid):
-    """Speculated candidates folded as one batch give, at initial_grid and
+    """Candidates folded as one batch give, at initial_grid and
     2 * initial_grid, the very bits of folding each candidate alone, with
     zero entries anywhere, also where another row's entry is nonzero."""
     rng = np.random.default_rng(seed)
     vals = _random_rows(rng, rows, width, 0.2)
     vals[0, int(rng.integers(width))] = 0  # a zero where other rows may not have one
-    cands = [row for row in vals if np.any(row != 0)]
-    assume(cands)
+    cands = list(vals)
     e = ExponentPair(1.5)
     quad = QuadratureConfig(initial_grid=grid, max_grid=2**16, rel_tol=1e-7)
-    batched = _WalkEvaluator(offset, width, e, quad)
-    batched.speculate(cands)
-    for cand in cands:
-        alone = _WalkEvaluator(offset, width, e, quad)
-        for level in (grid, 2 * grid):
-            got = batched._lhs_on_grid(cand, level)
-            assert (cand.tobytes(), level) in batched._levels  # served by the batch
-            assert got.tobytes() == alone._lhs_on_grid(cand, level).tobytes()
+    batched = _RecordingEvaluator(offset, width, e, quad)
+    ratios = list(batched.ratios(cands))
+    live = [cand for cand in cands if np.any(cand != 0)]
+    assert [r is None for r in ratios] == [not np.any(cand != 0) for cand in cands]
+    assert len(batched.seeded) == len(live)
+    alone = _WalkEvaluator(offset, width, e, quad)
+    for cand, (seen, levels) in zip(live, batched.seeded):
+        assert seen is cand
+        assert sorted(levels) == [grid, 2 * grid]  # served by the batch
+        for level, got in levels.items():
+            assert got.tobytes() == alone._lhs_on_grid(cand, level, {}).tobytes()
 
 
 def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
-    """Levels past the batch fall back to folding the candidate alone; the
+    """Levels past the batch are refined for the candidate alone; the
     ratios stay the per-candidate ones to the last bit."""
     rng = np.random.default_rng(7)
     e = ExponentPair(1.3)
     quad = QuadratureConfig(initial_grid=4, max_grid=2**16, rel_tol=1e-9)
     cands = list(_random_rows(rng, 4, 6, 0.0))
     batched = _WalkEvaluator(-2, 6, e, quad)
-    batched.speculate(cands)
-    for cand in cands:
-        alone = _WalkEvaluator(-2, 6, e, quad)
-        levels = lq_norm_periodic(lambda grid: alone._lhs_on_grid(cand, grid), e.q, quad)
-        assert len(levels.history) >= 2  # _refine asked for a third level
-        assert batched.ratio(cand) == alone.ratio(cand)
+    alone = _WalkEvaluator(-2, 6, e, quad)
+    for cand, r in zip(cands, batched.ratios(cands)):
+        norm = lq_norm_periodic(lambda grid: alone._lhs_on_grid(cand, grid, {}), e.q, quad)
+        assert len(norm.history) >= 2  # _refine asked for a third level
+        assert r == alone.ratio(cand, {})
+
+
+def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
+    """A level of M points past the batch folds only its M // 2 new odd
+    points; the even ones are the cached half level."""
+    grids, folded = [], []
+    original_level, original_fold = _WalkEvaluator._lhs_on_grid, extremizer_search._fold
+
+    def level_spy(self, vals, grid, levels):
+        grids.append(grid)
+        return original_level(self, vals, grid, levels)
+
+    def fold_spy(entries, phase, shape):
+        folded.append(shape)
+        return original_fold(entries, phase, shape)
+
+    monkeypatch.setattr(_WalkEvaluator, "_lhs_on_grid", level_spy)
+    monkeypatch.setattr(extremizer_search, "_fold", fold_spy)
+    quad = QuadratureConfig(initial_grid=4, max_grid=2**16, rel_tol=1e-9)
+    cand = _random_rows(np.random.default_rng(7), 1, 6, 0.0)[0]
+    next(_WalkEvaluator(-2, 6, ExponentPair(1.3), quad).ratios([cand]))
+    past = [grid for grid in grids if grid > 8]
+    assert past and folded == [(grid // 2,) for grid in past]
 
 
 def _one_at_a_time_walk(start, exponents, cfg):
-    """The walk evaluated one candidate at a time, with no speculation.
+    """The walk evaluated one candidate at a time, with no batch.
 
     Returns (best_F, best_ratio, sweeps, accepted steps followed by another
     step on the same coordinate)."""
@@ -124,7 +161,7 @@ def _one_at_a_time_walk(start, exponents, cfg):
         cfg.quadrature, rel_tol=max(cfg.coarse_rel_tol, cfg.quadrature.rel_tol)
     )
     coarse = _WalkEvaluator(start.offset, vals.size, exponents, walk_quad)
-    best = coarse.ratio(vals)
+    best = coarse.ratio(vals, {})
     step, sweeps, mid_coordinate = cfg.init_step, 0, 0
     while sweeps < cfg.max_iters and step >= _MIN_STEP:
         improved = False
@@ -135,7 +172,7 @@ def _one_at_a_time_walk(start, exponents, cfg):
                 cand = _project(cand, cfg.l1_cap)
                 if not np.any(cand != 0):
                     continue
-                r = coarse.ratio(cand)
+                r = coarse.ratio(cand, {})
                 if r > best:
                     best, vals = r, cand
                     improved = True
@@ -152,8 +189,9 @@ def _one_at_a_time_walk(start, exponents, cfg):
 
 
 def test_speculative_walk_follows_the_one_at_a_time_trajectory():
-    """local_search, speculating each coordinate's steps as one batch, ends
-    where the one-at-a-time walk ends, bit for bit."""
+    """local_search, folding each coordinate's steps as one batch and
+    refining them one at a time, ends where the one-at-a-time walk ends,
+    bit for bit."""
     cfg = SearchConfig(window=(-2, 3), l1_cap=0.5, starts=1, max_iters=12,
                        seed=31, quadrature=FAST_QUAD)
     mid_coordinate = 0
@@ -379,9 +417,9 @@ def test_walk_starts_at_the_configured_initial_grid(monkeypatch):
     grids = []
     original = _WalkEvaluator._lhs_on_grid
 
-    def spy(self, vals, grid):
+    def spy(self, vals, grid, levels):
         grids.append(grid)
-        return original(self, vals, grid)
+        return original(self, vals, grid, levels)
 
     monkeypatch.setattr(_WalkEvaluator, "_lhs_on_grid", spy)
     quad = QuadratureConfig(initial_grid=64, max_grid=2**16, rel_tol=1e-8)
