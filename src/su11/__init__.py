@@ -10,8 +10,6 @@ from .errors import (
 )
 from .nft_core import (
     CoefficientSequence,
-    Su11Element,
-    evaluate_product,
     sequence_from_text,
     sequence_to_text,
 )

@@ -40,13 +40,6 @@ def mp_product(seq: CoefficientSequence, t, dps: int = MIN_DPS):
         return a, b
 
 
-def mp_det_residual(seq: CoefficientSequence, t, dps: int = MIN_DPS):
-    """|a|^2 - |b|^2 - 1 at t, in extended precision."""
-    with mp.workdps(dps):
-        a, b = mp_product(seq, t, dps)
-        return abs(a) ** 2 - abs(b) ** 2 - 1
-
-
 def mp_weight_lq_norm(seq: CoefficientSequence, q, grid_size: int, dps: int = MIN_DPS):
     """Torus L^q norm of the weight by a fixed-grid trapezoid sum."""
     _check_dps(dps)

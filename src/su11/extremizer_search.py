@@ -23,9 +23,11 @@ import numpy as np
 
 from .errors import ZeroSequenceError
 from .nft_core import (
-    CoefficientSequence, sequence_to_text, _fold, _fold_rows, _grid_phases, _log_a_sq,
+    CoefficientSequence, sequence_to_text, _fold_rows, _grid_phases, _log_a_sq,
 )
-from .spectral_norms import ExponentPair, QuadratureConfig, _refined_level, lq_norm_periodic
+from .spectral_norms import (
+    ExponentPair, QuadratureConfig, _first_grid, _refined_level, lq_norm_periodic,
+)
 from .inequality_harness import hy_ratio
 
 _ENTRY_CAP = 1.0 - 1e-12
@@ -129,20 +131,20 @@ class _WalkEvaluator:
     """Coarse-tolerance ratio evaluations for the inner loop of the walk.
 
     The torus side refines through ``lq_norm_periodic`` at the walk's
-    tolerance ``quad``, like every other norm.  The level function is the
-    walk's own: every candidate shares the window, so the phase rows of the
-    batch grid ``2 * initial_grid`` are gathered once (by
-    ``nft_core._grid_phases``), where a fresh ``WeightSampler`` per
-    candidate would gather them for every candidate.
+    tolerance ``quad``, like every other norm, with the window's span.  The
+    level function is the walk's own: every candidate shares the window, so
+    the phase rows of the batch grid, twice the first level M, are gathered
+    once (``nft_core._grid_phases``).
 
     ``ratios(cands)`` folds the candidates one coordinate tries as one
-    ``(rows, 2 * initial_grid)`` batch through ``_fold_rows``; the even
-    columns of that batch are the ``initial_grid`` level, since ``2j / 2M``
-    and ``j / M`` round to the same double.  ``ratio(vals, levels)`` refines
-    from those two levels, bit-identical to folding ``vals`` alone, and a
-    level past them samples only its new odd points (``_refined_level``).
-    Nothing is kept between calls.  The walk's final answer is always
-    re-certified through hy_ratio at full tolerance.
+    ``(rows, 2M)`` batch through ``_fold_rows``, whose even columns are the
+    M level (``2j / 2M`` and ``j / M`` round to the same double), and
+    refines that block once; a level past the batch folds only the open
+    rows' new odd points (``_lhs_on_grid``).  ``ratio(vals, levels)`` is the
+    one-row case of the same path.  Every row is bit-identical to folding
+    and refining its candidate alone.  Nothing is kept between calls.  The
+    walk's final answer is always re-certified through hy_ratio at full
+    tolerance.
     """
 
     def __init__(self, offset: int, count: int, exponents: ExponentPair,
@@ -151,40 +153,54 @@ class _WalkEvaluator:
         self.q = exponents.q
         self.p = exponents.p
         self.quad = quad
-        self._grid = 2 * quad.initial_grid
+        self.span = count - 1
+        self._grid = 2 * _first_grid(quad, self.span)
         # row k is the phase of entry k on the batch grid
         self._phase = np.array([_grid_phases(offset + k, self._grid) for k in range(count)])
 
     def ratios(self, cands: list[np.ndarray]):
         """The ratio of each candidate in turn (None for the zero one), from
-        one batch fold; a candidate is refined only when its ratio is asked
-        for, so one after an accepted step never is."""
-        grid = self._grid
-        _, b = _fold_rows(np.array(cands), self._phase.__getitem__, grid)
+        one batch fold refined as one block."""
+        block = np.array(cands)
+        live = np.flatnonzero(np.any(block != 0, axis=1))
+        _, b = _fold_rows(block[live], self._phase.__getitem__, self._grid)
         weights = np.sqrt(np.log1p(np.abs(b) ** 2))
-        for cand, row in zip(cands, weights):
-            if not np.any(cand != 0):
-                yield None
-            else:
-                yield self.ratio(cand, {grid // 2: row[::2], grid: row})
-
-    def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict) -> np.ndarray:
-        """The weight (log|a|^2)^(1/2) of ``vals`` at the points j / grid,
-        from ``levels`` or built into it."""
-        def fresh(ts, at):
-            _, b = _fold(enumerate(vals), lambda k: _grid_phases(self.offset + k, *at), ts.shape)
-            return np.sqrt(np.log1p(np.abs(b) ** 2))
-
-        return _refined_level(levels, grid, fresh)
+        levels = {self._grid // 2: np.ascontiguousarray(weights[:, ::2]), self._grid: weights}
+        lhs = dict(zip(live.tolist(), self._lhs(block[live], levels).value.tolist()))
+        for i, cand in enumerate(cands):
+            yield lhs[i] / self._rhs(cand) if i in lhs else None
 
     def ratio(self, vals: np.ndarray, levels: dict) -> float:
+        """The ratio of one candidate, refined from ``levels`` (grid ->
+        samples), which it fills."""
+        return self._lhs(vals, levels).value / self._rhs(vals)
+
+    def _rhs(self, vals: np.ndarray) -> float:
         # summed here rather than by lp_sequence_norm, which rounds
         # differently; the walk's r > best test is decided in the last bits
         weights = [math.sqrt(_log_a_sq(abs(v))) for v in vals if v != 0]
-        rhs = float(np.sum(np.asarray(weights) ** self.p)) ** (1.0 / self.p)
-        lhs = lq_norm_periodic(lambda grid: self._lhs_on_grid(vals, grid, levels),
-                               self.q, self.quad)
-        return lhs.value / rhs
+        return float(np.sum(np.asarray(weights) ** self.p)) ** (1.0 / self.p)
+
+    def _lhs(self, vals: np.ndarray, levels: dict):
+        return lq_norm_periodic(
+            lambda grid, *rows: self._lhs_on_grid(vals, grid, levels, *rows),
+            self.q, self.quad, self.span)
+
+    def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict, rows=None) -> np.ndarray:
+        """The weight (log|a|^2)^(1/2) of the candidates ``vals`` (one per
+        row, or one candidate) at the points j / grid, from ``levels`` or
+        built into it; with ``rows``, only those rows are returned, and a
+        level built here folds only theirs (the others read NaN)."""
+        block = vals.reshape(-1, vals.shape[-1])
+        sel = slice(None) if rows is None else rows
+
+        def fresh(ts, at):
+            _, b = _fold_rows(block[sel], lambda k: _grid_phases(self.offset + k, *at), ts.size)
+            out = np.full((len(block), ts.size), np.nan)
+            out[sel] = np.sqrt(np.log1p(np.abs(b) ** 2))
+            return out.reshape(vals.shape[:-1] + ts.shape)
+
+        return _refined_level(levels, grid, fresh)[sel]
 
 
 def local_search(

@@ -27,7 +27,6 @@ from .nft_core import (
     product_on_grid_arrays,
     _grid_phases,
     _log_a_sq,
-    _phases,
 )
 from .spectral_norms import (
     ExponentPair,
@@ -233,7 +232,7 @@ def hy_ratio(
     _require_nonzero(seq)
     if sampler is None:
         sampler = WeightSampler(seq)
-    lhs = lq_norm_periodic(sampler.on_grid, exponents.q, cfg)
+    lhs = lq_norm_periodic(sampler.on_grid, exponents.q, cfg, sampler.span)
     rhs = weight_rhs(seq, exponents.p)
     return HyReport(
         exponents=exponents,
@@ -367,25 +366,27 @@ class _TraceGrids:
     The levels do not depend on the exponent: one instance lives on the
     sequence's WeightSampler and serves the ledger at every p, and a level
     of 2M points is built from the cached M-point level (see
-    ``_refined_level``).
+    ``_refined_level``).  ``level(M, rows)`` is the block's rows ``rows``,
+    indexed over its flattened leading shape (see ``_refine``).
     """
 
     def __init__(self, seq: CoefficientSequence):
         self.entries = seq.window_entries()
         self._cache: dict[int, np.ndarray] = {}
 
-    def level(self, grid_size: int) -> np.ndarray:
-        return _refined_level(self._cache, grid_size, self._rows)
+    def level(self, grid_size: int, rows=None) -> np.ndarray:
+        out = _refined_level(self._cache, grid_size, self._rows)
+        return out if rows is None else out.reshape(-1, grid_size)[rows]
 
-    def _rows(self, ts: np.ndarray, grid: tuple[int, bool] | None = None) -> np.ndarray:
-        """The rows at the points ``ts``; ``grid = (M, odd)`` names them as a
-        grid level, whose phases are gathered (``_grid_phases``)."""
+    def _rows(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
+        """The rows at the points ``ts`` of the grid level ``grid = (M, odd)``,
+        whose phases are gathered (``_grid_phases``)."""
         out = np.zeros((2, len(self.entries) + 1, ts.size))
         ra = np.zeros(ts.size, dtype=complex)
         rb = np.zeros(ts.size, dtype=complex)
         lin = np.zeros(ts.size, dtype=complex)
         for k, (n, v) in enumerate(self.entries, start=1):
-            e = _phases(n, ts) if grid is None else _grid_phases(n, *grid)
+            e = _grid_phases(n, *grid)
             ra, rb = (
                 ra + rb * np.conj(v) * np.conj(e),
                 rb + v * e + ra * v * e,
@@ -511,15 +512,10 @@ def proof_ledger(
         )
     )
 
-    # Row norms under shared refinement
-    def row_norm(side: int, k: int) -> NormResult:
-        return lq_norm_periodic(lambda grid: grids.level(grid)[side, k], q, cfg)
-
-    red_norms = [row_norm(_RED, k) for k in range(n_rows)]
-    lin_norms = [row_norm(_LIN, k) for k in range(n_rows)]
-    conv = all(r.converged for r in red_norms + lin_norms)
-    red_vals = np.array([r.value for r in red_norms])
-    lin_vals = np.array([r.value for r in lin_norms])
+    # Row norms: every row of both sides refined as one block
+    row_norms = lq_norm_periodic(grids.level, q, cfg, sampler.span)
+    conv = row_norms.converged
+    red_vals, lin_vals = row_norms.value[_RED], row_norms.value[_LIN]
 
     # L4: bootstrap in norm, every N
     bind4 = None
@@ -557,11 +553,11 @@ def proof_ledger(
         )
 
     # L6: weight norm <= ||b||_q <= prod_a ||F||_p / (1 - l1)
-    w_norm = lq_norm_periodic(sampler.on_grid, q, cfg)
+    w_norm = lq_norm_periodic(sampler.on_grid, q, cfg, sampler.span)
     if l1 >= 1.0:
         out.append(_skipped("L6", f"l1={l1!r} >= 1"))
     else:
-        b_norm = lq_norm_periodic(sampler.b_abs_on_grid, q, cfg)
+        b_norm = lq_norm_periodic(sampler.b_abs_on_grid, q, cfg, sampler.span)
         cap6 = prod_a * lp_f / (1.0 - l1)
         m_a = b_norm.value - w_norm.value
         m_b = cap6 - b_norm.value

@@ -13,8 +13,8 @@ first row (a, b) is ever stored; the second row is its conjugate.
 All functions here are pure; the dataclasses are frozen and safe to share
 across threads.  Every binary64 product in the package, on a grid or at one
 t and in any factor order, runs through the one fold ``_fold`` with phase
-rows from ``_phases``; the grid entry point ``product_on_grid_arrays(F, ts)``
-at ``ts[j]`` and the scalar ``evaluate_product(F, ts[j])`` agree bit for bit.
+rows from ``_phases``, so ``product_on_grid_arrays(F, ts)`` at ``ts[j]``
+and at the single point ``ts[j:j + 1]`` agree bit for bit.
 ``_fold_rows`` folds several sequences at once with the same step
 ``_step``; it steps every entry, a zero one as the exact identity factor,
 so each row matches its own ``_fold`` (which skips zeros) bit for bit up to
@@ -45,9 +45,6 @@ from .errors import DomainError
 # Entries with modulus >= 1 - MODULUS_GUARD are rejected: A_n would exceed
 # ~7e5 and downstream logs lose precision.
 MODULUS_GUARD = 1e-12
-
-_DET_TOL = 1e-12
-_ABS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -166,28 +163,6 @@ def sequence_from_text(text: str) -> CoefficientSequence:
     return CoefficientSequence(offset, tuple(vals))
 
 
-@dataclass(frozen=True)
-class Su11Element:
-    """First row (a, b) of an SU(1,1) matrix: |a|^2 - |b|^2 = 1, |a| >= 1.
-
-    The group constraint is validated at construction to ``_DET_TOL``
-    relative to max(1, |a|^2).
-    """
-
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        asq = abs(self.a) ** 2
-        det = asq - abs(self.b) ** 2
-        if abs(det - 1.0) > _DET_TOL * max(1.0, asq):
-            raise ValueError(f"not in SU(1,1): |a|^2-|b|^2 = {det!r}")
-        if abs(self.a) < 1.0 - _ABS_FLOOR:
-            raise ValueError(f"|a| = {abs(self.a)!r} < 1")
-
-
 # ---------------------------------------------------------------------------
 # the factor kernel
 
@@ -296,7 +271,7 @@ def product_on_grid_arrays(
     seq: CoefficientSequence, ts: np.ndarray, grid: tuple[int, bool] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (a(t), b(t)) over an array of t values, factors in
-    increasing n.  The scalar entry point runs through here too.
+    increasing n.
 
     ``grid = (M, odd)`` says that ``ts`` is the level ``j / M`` (``odd``: its
     odd points ``(2j + 1) / M``); the phases are then gathered by
@@ -306,17 +281,6 @@ def product_on_grid_arrays(
     if grid is None:
         return _fold(seq.window_entries(), lambda n: _phases(n, ts), ts.shape)
     return _fold(seq.window_entries(), lambda n: _grid_phases(n, *grid), ts.shape)
-
-
-def evaluate_product(seq: CoefficientSequence, t: float) -> Su11Element:
-    """The ordered product over the support window at a single t.
-
-    The empty (or identically zero) sequence gives the identity (1, 0).
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"t = {t!r} is not finite")
-    a, b = product_on_grid_arrays(seq, np.array([t], dtype=float))
-    return Su11Element(complex(a[0]), complex(b[0]))
 
 
 def linear_fourier_on_grid(entries, grid_size: int) -> np.ndarray:

@@ -64,7 +64,9 @@ class NormResult:
 
     ``grid_used`` is the coarsest grid whose doubling moved the value by at
     most rel_tol (the value itself comes from the doubled grid); ``history``
-    keeps one (grid, value, est) triple per refinement step.
+    keeps one (grid, value, est) triple per refinement step.  For a block
+    (see ``_refine``) the fields are arrays, ``converged`` holds if every row
+    converged, and a step holds the values and ests of its open rows.
     """
 
     value: float
@@ -121,10 +123,13 @@ class WeightSampler:
     which keeps its row levels here too (``trace_grids``).  Each grid level is
     therefore evaluated once per sequence, and a level of 2M points is built
     from the cached M-point level by evaluating only the M new odd points.
+    ``span`` (``N_max - N_min``) sets the first level of a refinement.
     """
 
     def __init__(self, seq: CoefficientSequence):
         self.seq = seq
+        support = seq.support()
+        self.span = 0 if support is None else support[1] - support[0]
         self._b_abs: dict[int, np.ndarray] = {}
         self._logsq: dict[int, np.ndarray] = {}
         self._weight: dict[int, np.ndarray] = {}
@@ -156,41 +161,65 @@ class WeightSampler:
 
 
 def _pow_q(x: np.ndarray, q: float) -> np.ndarray:
-    """x^q for x >= 0 via exp(q log x), with x = 0 short-circuited to 0."""
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(q * np.log(x[pos]))
-    return out
+    """x^q for x >= 0 via exp(q log x); x = 0 gives exp(-inf) = 0 exactly."""
+    with np.errstate(divide="ignore"):
+        return np.exp(q * np.log(x))
 
 
-def _refine(level, statistic, cfg: QuadratureConfig) -> NormResult:
-    """Double the grid until two successive statistics agree to rel_tol.
+def _first_grid(cfg: QuadratureConfig, span: int) -> int:
+    """The first level of a refinement: ``initial_grid``, raised to the
+    smallest power of two above ``2 * span + 1`` (coarser levels alias the
+    ``2 * span + 1`` frequencies of ``|b|^2``) and capped at ``max_grid``."""
+    return min(max(cfg.initial_grid, 1 << (2 * span + 1).bit_length()), cfg.max_grid)
 
-    ``level(M)`` returns the M samples of the integrand at t = j / M as an
-    array of shape (M,); any other result raises TypeError, so a function of
-    t passed by mistake fails instead of yielding a wrong norm.  This is the
-    only refinement loop: every torus norm, the search walk's included, runs
-    through it.
+
+def _refine(level, statistic, cfg: QuadratureConfig, span: int = 0) -> NormResult:
+    """Double the grid until two successive statistics agree to rel_tol,
+    row by row, from the first level ``_first_grid(cfg, span)``.
+
+    ``level(M)`` returns the samples at t = j / M, of shape (..., M): one
+    row or a block; anything else raises TypeError, so a function of t
+    passed by mistake fails instead of yielding a wrong norm.  ``statistic``
+    maps (rows, M) to one float per row.  Each row freezes at its own first
+    converged level; after that ``level(M, rows)`` is asked for the open
+    rows only (indices over the flattened leading shape).  One row returns
+    floats, a block arrays over its leading shape (``converged`` if every
+    row did), each row with the bits it gets alone.  This is the only
+    refinement loop: every torus norm runs through it.
     """
 
-    def stat(grid: int) -> float:
-        samples = level(grid)
-        if not isinstance(samples, np.ndarray) or samples.shape != (grid,):
-            raise TypeError(f"level({grid}) must return an array of shape ({grid},)")
-        return statistic(samples)
+    def sample(grid: int, rows=None) -> np.ndarray:
+        samples = level(grid) if rows is None else level(grid, rows)
+        want = (shape if rows is None else (len(rows),)) + (grid,)
+        if not isinstance(samples, np.ndarray) or samples.shape != want:
+            raise TypeError(f"level({grid}) must return an array of shape {want}")
+        return statistic(samples.reshape(-1, grid))
 
-    grid = cfg.initial_grid
-    value = stat(grid)
+    grid = _first_grid(cfg, span)
+    first = level(grid)
+    if not isinstance(first, np.ndarray) or first.shape[-1:] != (grid,):
+        raise TypeError(f"level({grid}) must return an array of shape (..., {grid})")
+    shape = first.shape[:-1]
+    value = np.array(statistic(first.reshape(-1, grid)), dtype=float)
+    grid_used = np.full(value.size, grid)
+    est = np.full(value.size, math.inf)
+    open_rows = np.arange(value.size)
     history = []
-    est = math.inf
-    while 2 * grid <= cfg.max_grid:
-        nxt = stat(2 * grid)
-        est = abs(nxt - value) / max(abs(nxt), _TINY)
-        history.append((grid, nxt, est))
-        if est <= cfg.rel_tol:
-            return NormResult(nxt, grid, est, True, tuple(history))
-        grid, value = 2 * grid, nxt
-    return NormResult(value, grid, est, False, tuple(history))
+    while open_rows.size and 2 * grid <= cfg.max_grid:
+        nxt = sample(2 * grid, None if open_rows.size == value.size else open_rows)
+        step = np.abs(nxt - value[open_rows]) / np.maximum(np.abs(nxt), _TINY)
+        history.append((grid, nxt, step))
+        done = step <= cfg.rel_tol
+        grid *= 2
+        value[open_rows], est[open_rows] = nxt, step
+        grid_used[open_rows] = np.where(done, grid // 2, grid)
+        open_rows = open_rows[~done]
+    converged = open_rows.size == 0
+    if not shape:
+        return NormResult(float(value[0]), int(grid_used[0]), float(est[0]), converged,
+                          tuple((g, float(v[0]), float(e[0])) for g, v, e in history))
+    return NormResult(value.reshape(shape), grid_used.reshape(shape), est.reshape(shape),
+                      converged, tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +234,26 @@ def nl_weight_sequence(seq: CoefficientSequence) -> np.ndarray:
     return np.sqrt([_log_a_sq(m) for m in seq.moduli()])
 
 
-def lq_norm_periodic(level, q: float, cfg: QuadratureConfig) -> NormResult:
+def lq_norm_periodic(level, q: float, cfg: QuadratureConfig, span: int = 0) -> NormResult:
     """(integral of f^q over one period)^(1/q) by refining trapezoid sums.
 
-    ``f`` is a nonnegative periodic function on [0, 1), given by its grid
-    levels: ``level(M)`` returns the array of the M samples f(j / M), as
-    ``WeightSampler.on_grid`` does (see ``_refine``).  ``q = inf`` uses the
-    sampled maximum, with one refinement doubling as the error estimate.
+    ``f`` is a nonnegative periodic function on [0, 1), or a block of them,
+    given by its grid levels ``level(M)`` as ``WeightSampler.on_grid`` gives
+    them (see ``_refine``).  A row's mean of ``exp(q log f)`` is raised to
+    ``1 / q`` in Python floats, so it gets the bits it gets alone.  ``q =
+    inf`` uses the sampled maximum, with one refinement doubling as the
+    error estimate.
     """
     if q != math.inf and q < 1.0:
         raise ValueError(f"q = {q!r} must be >= 1")
     if q == math.inf:
-        return _refine(level, lambda s: float(np.max(s)) if s.size else 0.0, cfg)
+        return _refine(level, lambda block: np.max(block, axis=-1), cfg, span)
 
-    def stat(samples: np.ndarray) -> float:
-        mean = float(np.mean(_pow_q(samples, q)))
-        return mean ** (1.0 / q) if mean > 0 else 0.0
+    def stat(block: np.ndarray) -> np.ndarray:
+        means = np.mean(_pow_q(block, q), axis=-1).tolist()
+        return np.array([m ** (1.0 / q) if m > 0 else 0.0 for m in means])
 
-    return _refine(level, stat, cfg)
+    return _refine(level, stat, cfg, span)
 
 
 def lp_sequence_norm(w, p: float) -> float:
@@ -253,7 +284,9 @@ def parseval_residual(
     the residual measures quadrature and rounding error only, and stays
     below 1e-9 for well-resolved inputs.
     """
-    integral = _refine(WeightSampler(seq).logsq_on_grid, lambda s: float(np.mean(s)), cfg)
+    sampler = WeightSampler(seq)
+    integral = _refine(sampler.logsq_on_grid, lambda block: np.mean(block, axis=-1), cfg,
+                       sampler.span)
     seq_side = float(sum(_log_a_sq(m) for m in seq.moduli()))
     return integral.value - seq_side, integral
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from su11 import (
     CCParameters,
@@ -19,11 +20,12 @@ from su11 import (
     theorem1_margin,
     theorem2_margin,
 )
-from su11.extended import mp_det_residual, mp_hy_margin
+from su11.extended import mp_hy_margin, mp_product
+from su11 import inequality_harness
 from su11.inequality_harness import _TraceGrids
-from su11.nft_core import product_on_grid_arrays
-from su11.spectral_norms import WeightSampler
-from su11.verification import PLACEHOLDER_CC, THEOREM1_PS, theorem1_suite
+from su11.nft_core import _phases, product_on_grid_arrays
+from su11.spectral_norms import NormResult, WeightSampler, _first_grid, lq_norm_periodic
+from su11.verification import PLACEHOLDER_CC, THEOREM1_PS, condition9_draw, theorem1_suite
 
 from conftest import random_sequence_draw, sequence_of_width
 
@@ -250,8 +252,13 @@ def test_trace_levels_from_odd_points_match_fresh_evaluation(width):
             grid *= 2
 
 
+def _exp_path_phases(n, grid, odd=False):
+    """A grid level's phase row by ``exp``, never gathered."""
+    return _phases(n, (np.arange(1, grid, 2) if odd else np.arange(grid)) / grid)
+
+
 @pytest.mark.parametrize("width", [1, 5, 24, 48])
-def test_grid_levels_gather_matches_exp_path_bytewise(width):
+def test_grid_levels_gather_matches_exp_path_bytewise(width, monkeypatch):
     """Sampler and ledger levels, whose phases are gathered from the
     root-of-unity tables, equal the ts-only ``exp`` path byte for byte on a
     power-of-two chain (and on a non-power-of-two one, which never gathers)."""
@@ -263,7 +270,10 @@ def test_grid_levels_gather_matches_exp_path_bytewise(width):
             ts = np.arange(grid) / grid
             b_abs = np.abs(product_on_grid_arrays(seq, ts)[1])
             assert sampler.b_abs_on_grid(grid).tobytes() == b_abs.tobytes()
-            assert grids.level(grid).tobytes() == _TraceGrids(seq)._rows(ts).tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(inequality_harness, "_grid_phases", _exp_path_phases)
+                by_exp = _TraceGrids(seq)._rows(ts, (grid, False))
+            assert grids.level(grid).tobytes() == by_exp.tobytes()
             grid *= 2
 
 
@@ -292,6 +302,70 @@ def test_ledger_with_shared_sampler_matches_fresh_calls(quad):
             shared = proof_ledger(seq, e, CC, quad, t_samples=12, sampler=sampler)
             fresh = proof_ledger(seq, e, CC, quad, t_samples=12)
             assert _nan_safe(shared) == _nan_safe(fresh), (seq, p)
+
+
+def _per_row_lq(level, q, cfg, span=0):
+    """``lq_norm_periodic`` of a block, one row at a time: the oracle of
+    the ledger's block refinement."""
+    first = level(_first_grid(cfg, span))
+    if first.ndim == 1:
+        return lq_norm_periodic(level, q, cfg, span)
+    shape = first.shape[:-1]
+    ones = [lq_norm_periodic(lambda M, i=i: level(M)[i], q, cfg, span)
+            for i in np.ndindex(shape)]
+
+    def field(name):
+        return np.array([getattr(one, name) for one in ones]).reshape(shape)
+
+    return NormResult(field("value"), field("grid_used"), field("est_rel_error"),
+                      all(one.converged for one in ones))
+
+
+def test_ledger_rows_match_a_per_row_refinement(quad, monkeypatch):
+    """The ledger's rows, refined as one block, give the entries of
+    refining every row alone: theorem1 draws at every exponent and one
+    theorem2 draw (L8/L9 evaluated)."""
+    rng = np.random.default_rng(20260808)
+    cases = [(random_sequence_draw(rng, l1_target=float(rng.uniform(0.0, 0.5))), p)
+             for _ in range(3) for p in THEOREM1_PS]
+    cases.append((condition9_draw(rng, 1.5, PLACEHOLDER_CC), 1.5))
+    block = [_nan_safe(proof_ledger(seq, ExponentPair(p), PLACEHOLDER_CC, quad))
+             for seq, p in cases]
+    monkeypatch.setattr(inequality_harness, "lq_norm_periodic", _per_row_lq)
+    oracle = [_nan_safe(proof_ledger(seq, ExponentPair(p), PLACEHOLDER_CC, quad))
+              for seq, p in cases]
+    assert block == oracle
+    assert all(not entry["precondition_failed"] for entry in block[-1])
+
+
+# F = 0.2 at n = 0 and n = 512: grid levels below 1025 points alias |b|^2
+ALIAS_PAIR = CoefficientSequence(0, (0.2,) + (0j,) * 511 + (0.2,))
+
+
+@pytest.mark.parametrize("p, resolved", [(1.5, 0.9449507835000718),
+                                         (1.9, 0.9898237223408985)])
+def test_widely_spaced_entries_are_not_aliased(p, resolved, quad):
+    """Aliased levels agree on a wrong ratio (1.2475 at p 1.5); refinement
+    starts above the floor 2048 and resolves it."""
+    rep = hy_ratio(ALIAS_PAIR, ExponentPair(p), quad)
+    assert rep.lhs.converged and rep.lhs.history[0][0] == 2048
+    assert rep.ratio == pytest.approx(resolved, rel=1e-9)
+    assert theorem1_margin(ALIAS_PAIR, ExponentPair(p), quad).ratio == rep.ratio
+
+
+def test_aliasing_gives_no_false_theorem1_violation(quad):
+    """Eight entries 512 apart (l1 0.48): aliased levels certify a ratio
+    2.63 above the bound 2.44 at p 1.9.  From the floor the ratio is 0.98."""
+    seq = CoefficientSequence(0, tuple(0.06 if k % 512 == 0 else 0j for k in range(3585)))
+    rep = theorem1_margin(seq, ExponentPair(1.9), quad)
+    assert rep.lhs.history[0][0] == 8192
+    assert rep.ratio == pytest.approx(0.98, abs=0.005) and rep.margin_rel > 0
+
+
+def test_alias_floor_above_max_grid_is_unconverged():
+    rep = hy_ratio(ALIAS_PAIR, ExponentPair(1.5), QuadratureConfig(max_grid=1024))
+    assert not rep.lhs.converged
+    assert rep.lhs.grid_used == 1024 and rep.lhs.history == ()
 
 
 def test_theorem1_suite_echoes_its_ledger_triple():
@@ -367,7 +441,9 @@ def test_endpoint_p1_sup_under_l1(quad):
 
 
 def test_extended_det_residual(two_half):
-    res = mp_det_residual(two_half, 0.37, dps=40)
+    with mp.workdps(40):
+        a, b = mp_product(two_half, 0.37, dps=40)
+        res = abs(a) ** 2 - abs(b) ** 2 - 1
     assert abs(res) < 1e-35
 
 
@@ -383,4 +459,4 @@ def test_extended_margin_confirms_binary64(quad):
 
 def test_extended_requires_30_digits(two_half):
     with pytest.raises(ValueError):
-        mp_det_residual(two_half, 0.1, dps=10)
+        mp_product(two_half, 0.1, dps=10)

@@ -15,9 +15,7 @@ from su11 import (
     CoefficientSequence,
     DomainError,
     ExponentPair,
-    Su11Element,
     ZeroSequenceError,
-    evaluate_product,
     proof_ledger,
     sequence_from_text,
     sequence_to_text,
@@ -32,6 +30,11 @@ from su11.verification import reversed_order_product
 
 from conftest import random_sequence_draw
 
+
+def _at(seq, t):
+    """(a(t), b(t)) at one point."""
+    a, b = product_on_grid_arrays(seq, np.array([t]))
+    return complex(a[0]), complex(b[0])
 
 # ---------------------------------------------------------------------------
 # factor coefficients (A_n, B_n)
@@ -69,34 +72,34 @@ def test_derive_group_relation_within_8_ulp():
 
 
 def test_empty_product_is_identity():
-    el = evaluate_product(CoefficientSequence(0, ()), 0.37)
-    assert el.a == 1.0 and el.b == 0.0
-    el = evaluate_product(CoefficientSequence(3, (0j, 0j)), 0.9)
-    assert el.a == 1.0 and el.b == 0.0
+    a, b = _at(CoefficientSequence(0, ()), 0.37)
+    assert a == 1.0 and b == 0.0
+    a, b = _at(CoefficientSequence(3, (0j, 0j)), 0.9)
+    assert a == 1.0 and b == 0.0
 
 
 def test_two_half_closed_form_t0(two_half):
-    el = evaluate_product(two_half, 0.0)
-    assert el.a == pytest.approx(5.0 / 3.0, rel=1e-14)
-    assert el.b == pytest.approx(4.0 / 3.0, rel=1e-14)
-    assert abs(el.a) ** 2 - abs(el.b) ** 2 == pytest.approx(1.0, abs=1e-14)
+    a, b = _at(two_half, 0.0)
+    assert a == pytest.approx(5.0 / 3.0, rel=1e-14)
+    assert b == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert abs(a) ** 2 - abs(b) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_two_half_closed_form_thalf(two_half):
-    el = evaluate_product(two_half, 0.5)
-    assert el.a == pytest.approx(1.0, rel=1e-14)
-    assert abs(el.b) < 1e-14
+    a, b = _at(two_half, 0.5)
+    assert a == pytest.approx(1.0, rel=1e-14)
+    assert abs(b) < 1e-14
     # |a(1/2)| = 1: a zero of the weight function
-    assert abs(el.a) == pytest.approx(1.0, abs=1e-14)
+    assert abs(a) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_two_half_closed_form_generic_t(two_half):
     # a(t) = A^2 + |B|^2 e^{-2 pi i t}, b(t) = A B (1 + e^{2 pi i t})
     for t in (0.1, 0.37, 0.73):
-        el = evaluate_product(two_half, t)
+        a, b = _at(two_half, t)
         e = np.exp(2j * np.pi * t)
-        assert el.a == pytest.approx(4 / 3 + (1 / 3) / e, rel=1e-13)
-        assert el.b == pytest.approx((2 / 3) * (1 + e), rel=1e-13)
+        assert a == pytest.approx(4 / 3 + (1 / 3) / e, rel=1e-13)
+        assert b == pytest.approx((2 / 3) * (1 + e), rel=1e-13)
 
 
 def test_grid_matches_scalar(two_half):
@@ -106,8 +109,8 @@ def test_grid_matches_scalar(two_half):
         a, b = product_on_grid_arrays(seq, np.arange(grid) / grid)
         assert a.shape == b.shape == (grid,)
         for j in range(grid):
-            ref = evaluate_product(seq, j / grid)
-            assert a[j] == ref.a and b[j] == ref.b  # same kernel, bitwise
+            ref_a, ref_b = _at(seq, j / grid)
+            assert a[j] == ref_a and b[j] == ref_b  # same kernel, bitwise
 
 
 def test_grid_single_factor_constant():
@@ -268,13 +271,6 @@ def test_su11_membership_random(seed):
     assert math.sqrt(asq) >= 1.0 - 1e-12
 
 
-def test_su11_element_rejects_non_member():
-    with pytest.raises(ValueError):
-        Su11Element(1.5, 0.2)
-    with pytest.raises(ValueError):
-        Su11Element(0.5, 0.1)
-
-
 # ---------------------------------------------------------------------------
 # truncations: partial products and the ledger's reduced rows
 
@@ -312,15 +308,16 @@ def test_trace_consistency_vs_matrix_oracle():
     at every truncation N, the kernel's product of the truncated sequence
     and the ledger's reduced rows |ra| + |rb| (ra = a / prod(A) - 1,
     rb = b / prod(A)) and |sum_{n <= N} F_n e^{2 pi i n t}|, at 200 random
-    (F, t) draws."""
+    (F, t) draws, t on the ledger's grid level of 1024 points."""
     rng = np.random.default_rng(20260808)
     for _ in range(200):
         seq = random_sequence_draw(rng, max_window=8)
         if seq.is_zero():
             continue
-        t = float(rng.uniform(0, 1))
+        j = int(float(rng.uniform(0, 1)) * 1024)
+        t = j / 1024
         ts = np.array([t])
-        red, lin = _TraceGrids(seq)._rows(ts)
+        red, lin = _TraceGrids(seq).level(1024)[:, :, j:j + 1]
         assert red[0, 0] == 0.0 and lin[0, 0] == 0.0
 
         entries = seq.window_entries()
@@ -365,11 +362,11 @@ def test_order_sensitivity():
     vals = (0.4, 0.3j, -0.2 + 0.1j)
     seq = CoefficientSequence(0, vals)
     t = 0.21
-    fwd = evaluate_product(seq, t)
+    fwd_a, fwd_b = _at(seq, t)
     a_rev, b_rev = reversed_order_product(seq, t)
-    assert b_rev == pytest.approx(fwd.b, rel=1e-13)
-    assert a_rev == pytest.approx(fwd.a.conjugate(), rel=1e-13)
-    assert abs(_adjacent_swap_product(vals, t) - fwd.b) > 1e-3
+    assert b_rev == pytest.approx(fwd_b, rel=1e-13)
+    assert a_rev == pytest.approx(fwd_a.conjugate(), rel=1e-13)
+    assert abs(_adjacent_swap_product(vals, t) - fwd_b) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +412,6 @@ def test_text_round_trip():
     back = sequence_from_text(text)
     assert back.offset == seq.offset
     assert back.values == seq.values  # exact decimal round-trip
-
-
-def test_nonfinite_t_rejected(two_half):
-    with pytest.raises(ValueError):
-        evaluate_product(two_half, math.inf)
-    with pytest.raises(ValueError):
-        evaluate_product(two_half, math.nan)
 
 
 def test_empty_text_rejected():

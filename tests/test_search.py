@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from su11.extremizer_search import (
     _MIN_STEP, _WalkEvaluator, _project, _rng_for_start, sequence_digest,
 )
 from su11.nft_core import _log_a_sq
-from su11.spectral_norms import WeightSampler, lq_norm_periodic
+from su11.spectral_norms import WeightSampler, _first_grid, lq_norm_periodic
 
 FAST_QUAD = QuadratureConfig(initial_grid=128, max_grid=2**16, rel_tol=1e-8)
 
@@ -75,42 +76,50 @@ def _random_rows(rng, rows, width, zero_frac):
     return vals
 
 
-class _RecordingEvaluator(_WalkEvaluator):
-    """Keeps each candidate with the levels ``ratios`` seeded it with."""
+def _level_spy(calls):
+    """A stand-in for ``_WalkEvaluator._lhs_on_grid`` that records each call
+    as (candidates, grid, served from the cache, rows, level)."""
+    original = _WalkEvaluator._lhs_on_grid
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.seeded = []
+    def spy(self, vals, grid, levels, *rows):
+        cached = grid in levels
+        out = original(self, vals, grid, levels, *rows)
+        calls.append((vals, grid, cached, rows, out))
+        return out
 
-    def ratio(self, vals, levels):
-        self.seeded.append((vals, dict(levels)))
-        return super().ratio(vals, levels)
+    return spy
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8),
        st.integers(-20, 20), st.sampled_from((1, 2, 4, 8, 64, 256)))
 @settings(max_examples=80, deadline=None)
 def test_batched_levels_match_one_row_folds(seed, rows, width, offset, grid):
-    """Candidates folded as one batch give, at initial_grid and
-    2 * initial_grid, the very bits of folding each candidate alone, with
-    zero entries anywhere, also where another row's entry is nonzero."""
+    """Candidates folded as one batch give, at the first level and twice
+    it, the very bits of folding each candidate alone, with zero entries
+    anywhere, also where another row's entry is nonzero; the zero
+    candidate's ratio is None."""
     rng = np.random.default_rng(seed)
     vals = _random_rows(rng, rows, width, 0.2)
     vals[0, int(rng.integers(width))] = 0  # a zero where other rows may not have one
     cands = list(vals)
+    live = [cand for cand in cands if np.any(cand != 0)]
+    assume(live)
     e = ExponentPair(1.5)
     quad = QuadratureConfig(initial_grid=grid, max_grid=2**16, rel_tol=1e-7)
-    batched = _RecordingEvaluator(offset, width, e, quad)
-    ratios = list(batched.ratios(cands))
-    live = [cand for cand in cands if np.any(cand != 0)]
+    calls = []
+    with mock.patch.object(_WalkEvaluator, "_lhs_on_grid", _level_spy(calls)):
+        ratios = list(_WalkEvaluator(offset, width, e, quad).ratios(cands))
     assert [r is None for r in ratios] == [not np.any(cand != 0) for cand in cands]
-    assert len(batched.seeded) == len(live)
+    first = _first_grid(quad, width - 1)
+    batch = calls[:2]
+    # served by the batch, for every live candidate at once
+    assert [(level, cached, rows) for _, level, cached, rows, _ in batch] == [
+        (first, True, ()), (2 * first, True, ())]
     alone = _WalkEvaluator(offset, width, e, quad)
-    for cand, (seen, levels) in zip(live, batched.seeded):
-        assert seen is cand
-        assert sorted(levels) == [grid, 2 * grid]  # served by the batch
-        for level, got in levels.items():
-            assert got.tobytes() == alone._lhs_on_grid(cand, level, {}).tobytes()
+    for block, level, _, _, got in batch:
+        assert np.array_equal(block, np.array(live))
+        for cand, row in zip(live, got):
+            assert row.tobytes() == alone._lhs_on_grid(cand, level, {}).tobytes()
 
 
 def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
@@ -130,25 +139,25 @@ def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
 
 def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
     """A level of M points past the batch folds only its M // 2 new odd
-    points; the even ones are the cached half level."""
-    grids, folded = [], []
-    original_level, original_fold = _WalkEvaluator._lhs_on_grid, extremizer_search._fold
+    points, and only for the candidates still open; the even ones are the
+    cached half level."""
+    calls, folded = [], []
+    original_fold = extremizer_search._fold_rows
 
-    def level_spy(self, vals, grid, levels):
-        grids.append(grid)
-        return original_level(self, vals, grid, levels)
+    def fold_spy(rows, phase, grid):
+        folded.append((len(rows), grid))
+        return original_fold(rows, phase, grid)
 
-    def fold_spy(entries, phase, shape):
-        folded.append(shape)
-        return original_fold(entries, phase, shape)
-
-    monkeypatch.setattr(_WalkEvaluator, "_lhs_on_grid", level_spy)
-    monkeypatch.setattr(extremizer_search, "_fold", fold_spy)
+    monkeypatch.setattr(_WalkEvaluator, "_lhs_on_grid", _level_spy(calls))
+    monkeypatch.setattr(extremizer_search, "_fold_rows", fold_spy)
     quad = QuadratureConfig(initial_grid=4, max_grid=2**16, rel_tol=1e-9)
-    cand = _random_rows(np.random.default_rng(7), 1, 6, 0.0)[0]
-    next(_WalkEvaluator(-2, 6, ExponentPair(1.3), quad).ratios([cand]))
-    past = [grid for grid in grids if grid > 8]
-    assert past and folded == [(grid // 2,) for grid in past]
+    cands = list(_random_rows(np.random.default_rng(7), 4, 6, 0.0))
+    list(_WalkEvaluator(-2, 6, ExponentPair(1.3), quad).ratios(cands))
+    past = [(len(rows[0]) if rows else len(cands), grid)
+            for _, grid, cached, rows, _ in calls if not cached]
+    assert past and folded == [(4, 2 * _first_grid(quad, 5))] + [
+        (n, grid // 2) for n, grid in past]
+    assert min(n for n, _ in past) < len(cands)  # some candidates froze earlier
 
 
 def _one_at_a_time_walk(start, exponents, cfg):

@@ -18,6 +18,7 @@ from su11 import (
     parseval_residual,
 )
 from su11.nft_core import product_on_grid_arrays
+from su11.spectral_norms import _first_grid, _refine
 from su11.verification import parseval_suite
 
 from conftest import random_sequence_draw, sequence_of_width
@@ -348,3 +349,119 @@ def test_sampler_evaluates_only_new_odd_points(monkeypatch):
         sampler.on_grid(grid)
     sampler.on_grid(4096)  # 2048 is not cached: every point is evaluated
     assert sizes == [256, 256, 512, 4096]
+
+
+# ---------------------------------------------------------------------------
+# block refinement
+
+
+def _block_level(builders):
+    """A grid-level function over a block of rows, one ``builders[i](M)``
+    per row, that serves ``level(M, rows)`` as ``_refine`` asks for it."""
+    def level(M, rows=None):
+        out = np.array([build(M) for build in builders]).reshape(-1, M)
+        return out if rows is None else out[rows]
+    return level
+
+
+def _same_bits(block, r, one):
+    """Row r of a block NormResult carries the bits of the one-row result."""
+    return (np.float64(block.value[r]).tobytes() == np.float64(one.value).tobytes()
+            and int(block.grid_used[r]) == one.grid_used
+            and np.float64(block.est_rel_error[r]).tobytes()
+            == np.float64(one.est_rel_error).tobytes())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6),
+       st.sampled_from((1.0, 1.7, 3.0, 11.0, math.inf)),
+       st.sampled_from((2**9, 2**12, 2**16)))
+@settings(max_examples=40, deadline=None)
+def test_block_refine_rows_equal_one_row_refinements(seed, width, q, max_grid):
+    """Each row of a block, refined at once, has the value, grid, estimate
+    and convergence of its own one-row refinement, bit for bit: rows that
+    converge at different levels, an all-zero row, a rough row, a row that
+    never converges (its level halves with every doubling), a block with no
+    rows, at q = inf too."""
+    rng = np.random.default_rng(seed)
+    cfg = QuadratureConfig(initial_grid=16, max_grid=max_grid, rel_tol=1e-10)
+    builders = [WeightSampler(random_sequence_draw(rng, max_window=8)).on_grid
+                for _ in range(width)]
+    drifting = lambda M: np.full(M, 1.0 / M)
+    builders += [lambda M: np.zeros(M), drifting,
+                 lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3]
+    rng.shuffle(builders)
+    block = lq_norm_periodic(_block_level(builders), q, cfg)
+    ones = [lq_norm_periodic(build, q, cfg) for build in builders]
+    assert block.value.shape == (len(builders),)
+    assert all(_same_bits(block, r, one) for r, one in enumerate(ones))
+    assert not block.converged
+    assert block.grid_used[builders.index(drifting)] == max_grid
+    empty = lq_norm_periodic(lambda M, rows=None: np.zeros((0, M)), q, cfg)
+    assert empty.value.shape == (0,) and empty.converged
+
+
+def test_block_refine_keeps_the_leading_shape():
+    """A (2, rows, M) level comes back as (2, rows) arrays."""
+    seqs = [CoefficientSequence(0, (0.3, 0.2j)), CoefficientSequence(-1, (0.1, 0.4, 0.05))]
+    builders = [WeightSampler(s).on_grid for s in seqs] + [WeightSampler(s).b_abs_on_grid
+                                                          for s in seqs]
+    flat = _block_level(builders)
+
+    def level(M, rows=None):
+        return flat(M).reshape(2, 2, M) if rows is None else flat(M, rows)
+
+    res = lq_norm_periodic(level, 3.0, QuadratureConfig())
+    assert res.value.shape == res.grid_used.shape == res.est_rel_error.shape == (2, 2)
+    ones = [lq_norm_periodic(build, 3.0, QuadratureConfig()) for build in builders]
+    assert [float(v) for v in res.value.ravel()] == [one.value for one in ones]
+
+
+def test_block_statistic_sees_only_open_rows_after_level_two():
+    """From the third level on the statistic gets the open rows only: a
+    constant row freezes at the second level, a rough row refines on, and
+    the level is asked for the rough row alone."""
+    seen, asked = [], []
+    rows = [lambda M: np.full(M, 0.5), lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3]
+    flat = _block_level(rows)
+
+    def level(M, open_rows=None):
+        asked.append(None if open_rows is None else open_rows.tolist())
+        return flat(M, open_rows)
+
+    def statistic(block):
+        seen.append(block.shape[0])
+        return np.mean(block, axis=-1)
+
+    res = _refine(level, statistic, QuadratureConfig(initial_grid=4, max_grid=2**10,
+                                                     rel_tol=1e-12))
+    assert seen == [2, 2] + [1] * (len(seen) - 2) and len(seen) == 9
+    assert asked == [None, None] + [[1]] * 7
+    assert res.grid_used.tolist() == [4, 2**10] and res.converged is False
+
+
+def test_block_refine_rejects_a_level_of_the_wrong_shape():
+    cfg = QuadratureConfig(initial_grid=4, max_grid=64, rel_tol=1e-12)
+    rough = lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3
+    with pytest.raises(TypeError):
+        # asked for the open row only, it returns the whole block
+        lq_norm_periodic(lambda M, rows=None: np.array([np.full(M, 0.5), rough(M)]), 2.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# aliasing floor
+
+
+def test_first_grid_floor():
+    cfg = QuadratureConfig()
+    assert [_first_grid(cfg, s) for s in (0, 47, 127, 128, 512)] == [256, 256, 256, 512, 2048]
+    assert _first_grid(QuadratureConfig(initial_grid=1, max_grid=2**20), 0) == 2
+    assert _first_grid(QuadratureConfig(initial_grid=256, max_grid=1024), 512) == 1024
+
+
+def test_parseval_starts_above_the_alias_floor(quad):
+    """Two entries 600 apart: the first levels below 1201 points alias
+    the band of log|a|^2; the integral still meets the sequence side."""
+    seq = CoefficientSequence(0, (0.4,) + (0j,) * 599 + (0.3j,))
+    residual, res = parseval_residual(seq, quad)
+    assert res.history[0][0] >= 2048
+    assert abs(residual) <= 1e-9
