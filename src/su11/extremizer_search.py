@@ -214,9 +214,9 @@ def local_search(
     On coordinate k the walk tries the steps +s, -s, +is, -is in turn and
     accepts each one that beats the running best (Gauss-Seidel: a later
     step starts from the accepted point).  The steps not yet tried are built
-    from the current point and folded as one batch by
-    ``_WalkEvaluator.ratios``, which refines each only when the walk reaches
-    it; after an acceptance the remaining ones are stale and are rebuilt
+    from the current point, folded and refined as one block by
+    ``_WalkEvaluator.ratios``; after an acceptance the remaining ones are
+    stale, their ratios are computed but discarded, and they are rebuilt
     from the new point, so the trajectory is the one-at-a-time walk's, bit
     for bit.  Every full sweep without an accepted move shrinks the step;
     the walk stops after ``max_iters`` sweeps or once the step drops below

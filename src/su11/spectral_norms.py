@@ -19,6 +19,7 @@ from .nft_core import CoefficientSequence, product_on_grid_arrays, _log_a_sq
 
 # floor for the denominators of relative errors and margins
 _TINY = 1e-300
+_STAT_CHUNK = 1 << 18  # samples per exp(q log f) pass of a block
 # a DFT coefficient below this fraction of the peak counts as no signal
 _SUPPORT_REL_THRESHOLD = 1e-9
 
@@ -160,12 +161,6 @@ class WeightSampler:
         return out
 
 
-def _pow_q(x: np.ndarray, q: float) -> np.ndarray:
-    """x^q for x >= 0 via exp(q log x); x = 0 gives exp(-inf) = 0 exactly."""
-    with np.errstate(divide="ignore"):
-        return np.exp(q * np.log(x))
-
-
 def _first_grid(cfg: QuadratureConfig, span: int) -> int:
     """The first level of a refinement: ``initial_grid``, raised to the
     smallest power of two above ``2 * span + 1`` (coarser levels alias the
@@ -173,7 +168,7 @@ def _first_grid(cfg: QuadratureConfig, span: int) -> int:
     return min(max(cfg.initial_grid, 1 << (2 * span + 1).bit_length()), cfg.max_grid)
 
 
-def _refine(level, statistic, cfg: QuadratureConfig, span: int = 0) -> NormResult:
+def _refine(level, statistic, cfg: QuadratureConfig, span: int) -> NormResult:
     """Double the grid until two successive statistics agree to rel_tol,
     row by row, from the first level ``_first_grid(cfg, span)``.
 
@@ -234,7 +229,7 @@ def nl_weight_sequence(seq: CoefficientSequence) -> np.ndarray:
     return np.sqrt([_log_a_sq(m) for m in seq.moduli()])
 
 
-def lq_norm_periodic(level, q: float, cfg: QuadratureConfig, span: int = 0) -> NormResult:
+def lq_norm_periodic(level, q: float, cfg: QuadratureConfig, span: int) -> NormResult:
     """(integral of f^q over one period)^(1/q) by refining trapezoid sums.
 
     ``f`` is a nonnegative periodic function on [0, 1), or a block of them,
@@ -250,7 +245,12 @@ def lq_norm_periodic(level, q: float, cfg: QuadratureConfig, span: int = 0) -> N
         return _refine(level, lambda block: np.max(block, axis=-1), cfg, span)
 
     def stat(block: np.ndarray) -> np.ndarray:
-        means = np.mean(_pow_q(block, q), axis=-1).tolist()
+        means, step = [], max(1, _STAT_CHUNK // block.shape[-1])
+        for i in range(0, len(block), step):  # a few rows at a time: small temporaries
+            with np.errstate(divide="ignore"):  # exp(q log 0) = exp(-inf) = 0
+                powers = np.log(block[i:i + step])
+            powers *= q
+            means += np.mean(np.exp(powers, out=powers), axis=-1).tolist()
         return np.array([m ** (1.0 / q) if m > 0 else 0.0 for m in means])
 
     return _refine(level, stat, cfg, span)

@@ -304,7 +304,7 @@ def test_ledger_with_shared_sampler_matches_fresh_calls(quad):
             assert _nan_safe(shared) == _nan_safe(fresh), (seq, p)
 
 
-def _per_row_lq(level, q, cfg, span=0):
+def _per_row_lq(level, q, cfg, span):
     """``lq_norm_periodic`` of a block, one row at a time: the oracle of
     the ledger's block refinement."""
     first = level(_first_grid(cfg, span))

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su11 import (
@@ -63,7 +63,8 @@ def test_walk_ratio_is_the_sampler_quadrature_bit_for_bit():
         seq = CoefficientSequence(offset, tuple(vals))
         weights = [math.sqrt(_log_a_sq(abs(v))) for v in vals if v != 0]
         rhs = float(np.sum(np.asarray(weights) ** e.p)) ** (1.0 / e.p)
-        lhs = lq_norm_periodic(WeightSampler(seq).on_grid, e.q, walk_quad)
+        sampler = WeightSampler(seq)
+        lhs = lq_norm_periodic(sampler.on_grid, e.q, walk_quad, sampler.span)
         ratio = next(_WalkEvaluator(offset, n, e, walk_quad).ratios([vals]))
         mismatches += ratio != lhs.value / rhs
     assert mismatches == 0
@@ -92,24 +93,28 @@ def _level_spy(calls):
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8),
        st.integers(-20, 20), st.sampled_from((1, 2, 4, 8, 64, 256)))
+@example(0, 1, 1, 0, 4)  # one candidate of one entry: a batch with no live row
 @settings(max_examples=80, deadline=None)
 def test_batched_levels_match_one_row_folds(seed, rows, width, offset, grid):
     """Candidates folded as one batch give, at the first level and twice
     it, the very bits of folding each candidate alone, with zero entries
     anywhere, also where another row's entry is nonzero; the zero
-    candidate's ratio is None."""
+    candidate's ratio is None, and a batch of zero candidates refines at
+    most one level of no rows."""
     rng = np.random.default_rng(seed)
     vals = _random_rows(rng, rows, width, 0.2)
     vals[0, int(rng.integers(width))] = 0  # a zero where other rows may not have one
     cands = list(vals)
     live = [cand for cand in cands if np.any(cand != 0)]
-    assume(live)
     e = ExponentPair(1.5)
     quad = QuadratureConfig(initial_grid=grid, max_grid=2**16, rel_tol=1e-7)
     calls = []
     with mock.patch.object(_WalkEvaluator, "_lhs_on_grid", _level_spy(calls)):
         ratios = list(_WalkEvaluator(offset, width, e, quad).ratios(cands))
     assert [r is None for r in ratios] == [not np.any(cand != 0) for cand in cands]
+    if not live:
+        assert len(calls) <= 1 and all(len(block) == 0 for block, *_ in calls)
+        return
     first = _first_grid(quad, width - 1)
     batch = calls[:2]
     # served by the batch, for every live candidate at once
@@ -132,7 +137,8 @@ def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
     batched = _WalkEvaluator(-2, 6, e, quad)
     alone = _WalkEvaluator(-2, 6, e, quad)
     for cand, r in zip(cands, batched.ratios(cands)):
-        norm = lq_norm_periodic(lambda grid: alone._lhs_on_grid(cand, grid, {}), e.q, quad)
+        norm = lq_norm_periodic(lambda grid: alone._lhs_on_grid(cand, grid, {}), e.q, quad,
+                                alone.span)
         assert len(norm.history) >= 2  # _refine asked for a third level
         assert r == alone.ratio(cand, {})
 

@@ -17,6 +17,7 @@ from su11 import (
     nl_weight_sequence,
     parseval_residual,
 )
+from su11 import spectral_norms
 from su11.nft_core import product_on_grid_arrays
 from su11.spectral_norms import _first_grid, _refine
 from su11.verification import parseval_suite
@@ -109,7 +110,7 @@ def test_weight_torus_vanishes_at_weight_zero(two_half):
 
 
 def test_lq_constant_certifies_on_initial_grid(quad):
-    res = lq_norm_periodic(lambda M: np.full(M, 0.7), 2.0, quad)
+    res = lq_norm_periodic(lambda M: np.full(M, 0.7), 2.0, quad, 0)
     assert res.value == pytest.approx(0.7, rel=1e-14)
     assert res.grid_used == quad.initial_grid
     assert res.converged
@@ -120,12 +121,12 @@ def _grid(M):
 
 
 def test_lq_abs_sine(quad):
-    res = lq_norm_periodic(lambda M: np.abs(np.sin(2 * np.pi * _grid(M))), 2.0, quad)
+    res = lq_norm_periodic(lambda M: np.abs(np.sin(2 * np.pi * _grid(M))), 2.0, quad, 0)
     assert res.value == pytest.approx(1 / math.sqrt(2), rel=1e-10)
 
 
 def test_lq_weight_fixture_vs_dense_reference(two_half, quad):
-    res = lq_norm_periodic(WeightSampler(two_half).on_grid, 3.0, quad)
+    res = lq_norm_periodic(WeightSampler(two_half).on_grid, 3.0, quad, 1)
     assert res.value == pytest.approx(W3_TWO_HALF, abs=1e-8)
     assert res.converged
 
@@ -139,11 +140,11 @@ def test_lq_function_of_t_raises_type_error(stale, quad):
     """A function of t handed in where a grid level belongs is an error,
     not a norm of its values at the integers."""
     with pytest.raises(TypeError):
-        lq_norm_periodic(stale, 3.0, quad)
+        lq_norm_periodic(stale, 3.0, quad, 0)
 
 
 def test_lq_sup_norm(quad):
-    res = lq_norm_periodic(lambda M: np.abs(np.sin(2 * np.pi * _grid(M))), math.inf, quad)
+    res = lq_norm_periodic(lambda M: np.abs(np.sin(2 * np.pi * _grid(M))), math.inf, quad, 0)
     assert res.value == pytest.approx(1.0, abs=1e-4)
     assert res.value <= 1.0  # grid max never overshoots the sup
 
@@ -151,7 +152,7 @@ def test_lq_sup_norm(quad):
 def test_lq_no_convergence_flag():
     cfg = QuadratureConfig(initial_grid=4, max_grid=8, rel_tol=1e-16)
     rough = lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3
-    res = lq_norm_periodic(rough, 1.0, cfg)
+    res = lq_norm_periodic(rough, 1.0, cfg, 0)
     assert not res.converged
     assert res.grid_used == 8
 
@@ -390,14 +391,29 @@ def test_block_refine_rows_equal_one_row_refinements(seed, width, q, max_grid):
     builders += [lambda M: np.zeros(M), drifting,
                  lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3]
     rng.shuffle(builders)
-    block = lq_norm_periodic(_block_level(builders), q, cfg)
-    ones = [lq_norm_periodic(build, q, cfg) for build in builders]
+    block = lq_norm_periodic(_block_level(builders), q, cfg, 7)
+    ones = [lq_norm_periodic(build, q, cfg, 7) for build in builders]
     assert block.value.shape == (len(builders),)
     assert all(_same_bits(block, r, one) for r, one in enumerate(ones))
     assert not block.converged
     assert block.grid_used[builders.index(drifting)] == max_grid
-    empty = lq_norm_periodic(lambda M, rows=None: np.zeros((0, M)), q, cfg)
+    empty = lq_norm_periodic(lambda M, rows=None: np.zeros((0, M)), q, cfg, 0)
     assert empty.value.shape == (0,) and empty.converged
+
+
+@pytest.mark.parametrize("chunk", [1, 2**9, 3 * 2**10])
+def test_block_powers_taken_a_few_rows_at_a_time_keep_the_bits(monkeypatch, chunk):
+    """The q-th powers of a block are taken a few rows per pass (one row,
+    or a chunk that splits the block unevenly); every row keeps the bits of
+    its one-row refinement."""
+    rng = np.random.default_rng(11)
+    builders = [WeightSampler(random_sequence_draw(rng, max_window=8)).on_grid
+                for _ in range(7)] + [lambda M: np.zeros(M)]
+    cfg = QuadratureConfig(initial_grid=16, max_grid=2**12, rel_tol=1e-10)
+    ones = [lq_norm_periodic(build, 3.0, cfg, 7) for build in builders]
+    monkeypatch.setattr(spectral_norms, "_STAT_CHUNK", chunk)
+    block = lq_norm_periodic(_block_level(builders), 3.0, cfg, 7)
+    assert all(_same_bits(block, r, one) for r, one in enumerate(ones))
 
 
 def test_block_refine_keeps_the_leading_shape():
@@ -410,9 +426,10 @@ def test_block_refine_keeps_the_leading_shape():
     def level(M, rows=None):
         return flat(M).reshape(2, 2, M) if rows is None else flat(M, rows)
 
-    res = lq_norm_periodic(level, 3.0, QuadratureConfig())
+    res = lq_norm_periodic(level, 3.0, QuadratureConfig(), 2)
     assert res.value.shape == res.grid_used.shape == res.est_rel_error.shape == (2, 2)
-    ones = [lq_norm_periodic(build, 3.0, QuadratureConfig()) for build in builders]
+    ones = [lq_norm_periodic(build, 3.0, QuadratureConfig(), 2)
+            for build in builders]
     assert [float(v) for v in res.value.ravel()] == [one.value for one in ones]
 
 
@@ -433,7 +450,7 @@ def test_block_statistic_sees_only_open_rows_after_level_two():
         return np.mean(block, axis=-1)
 
     res = _refine(level, statistic, QuadratureConfig(initial_grid=4, max_grid=2**10,
-                                                     rel_tol=1e-12))
+                                                     rel_tol=1e-12), 0)
     assert seen == [2, 2] + [1] * (len(seen) - 2) and len(seen) == 9
     assert asked == [None, None] + [[1]] * 7
     assert res.grid_used.tolist() == [4, 2**10] and res.converged is False
@@ -444,7 +461,7 @@ def test_block_refine_rejects_a_level_of_the_wrong_shape():
     rough = lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3
     with pytest.raises(TypeError):
         # asked for the open row only, it returns the whole block
-        lq_norm_periodic(lambda M, rows=None: np.array([np.full(M, 0.5), rough(M)]), 2.0, cfg)
+        lq_norm_periodic(lambda M, rows=None: np.array([np.full(M, 0.5), rough(M)]), 2.0, cfg, 0)
 
 
 # ---------------------------------------------------------------------------
