@@ -27,6 +27,7 @@ from .inequality_harness import (
     PROBE_SCALES,
     CCParameters,
     CSV_HEADER,
+    DEFAULT_MARGIN_TOL,
     HyReport,
     LedgerEntry,
     _l1,
@@ -332,8 +333,8 @@ def _run_ledger(cfg: ExperimentConfig) -> int:
 
 def _violates_small_bound(seq: CoefficientSequence, ratio: float) -> bool:
     """ratio above the bound 1 + 3 ||F||_1 that the small-sequence theorem
-    states for this F (held to 1e-6 absolute)."""
-    return ratio > 1.0 + 3.0 * _l1(seq) + 1e-6
+    states for this F, held to DEFAULT_MARGIN_TOL like theorem1_suite."""
+    return ratio > 1.0 + 3.0 * _l1(seq) + DEFAULT_MARGIN_TOL
 
 
 def _run_search(cfg: ExperimentConfig) -> int:

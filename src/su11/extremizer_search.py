@@ -139,12 +139,12 @@ class _WalkEvaluator:
     ``ratios(cands)`` folds the candidates one coordinate tries as one
     ``(rows, 2M)`` batch through ``_fold_rows``, whose even columns are the
     M level (``2j / 2M`` and ``j / M`` round to the same double), and
-    refines that block once; a level past the batch folds only the open
-    rows' new odd points (``_lhs_on_grid``).  ``ratio(vals, levels)`` is the
-    one-row case of the same path.  Every row is bit-identical to folding
-    and refining its candidate alone.  Nothing is kept between calls.  The
-    walk's final answer is always re-certified through hy_ratio at full
-    tolerance.
+    refines that block once; a level past the batch folds the new odd
+    points of every row (``_lhs_on_grid``), and ``_refine`` reduces the open
+    ones.  ``ratio(vals, levels)`` is the one-row case of the same path.
+    Every row is bit-identical to folding and refining its candidate alone.
+    Nothing is kept between calls.  The walk's final answer is always
+    re-certified through hy_ratio at full tolerance.
     """
 
     def __init__(self, offset: int, count: int, exponents: ExponentPair,
@@ -182,25 +182,20 @@ class _WalkEvaluator:
         return float(np.sum(np.asarray(weights) ** self.p)) ** (1.0 / self.p)
 
     def _lhs(self, vals: np.ndarray, levels: dict):
-        return lq_norm_periodic(
-            lambda grid, *rows: self._lhs_on_grid(vals, grid, levels, *rows),
-            self.q, self.quad, self.span)
+        return lq_norm_periodic(lambda grid: self._lhs_on_grid(vals, grid, levels),
+                                self.q, self.quad, self.span)
 
-    def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict, rows=None) -> np.ndarray:
+    def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict) -> np.ndarray:
         """The weight (log|a|^2)^(1/2) of the candidates ``vals`` (one per
         row, or one candidate) at the points j / grid, from ``levels`` or
-        built into it; with ``rows``, only those rows are returned, and a
-        level built here folds only theirs (the others read NaN)."""
+        built into it."""
         block = vals.reshape(-1, vals.shape[-1])
-        sel = slice(None) if rows is None else rows
 
         def fresh(ts, at):
-            _, b = _fold_rows(block[sel], lambda k: _grid_phases(self.offset + k, *at), ts.size)
-            out = np.full((len(block), ts.size), np.nan)
-            out[sel] = np.sqrt(np.log1p(np.abs(b) ** 2))
-            return out.reshape(vals.shape[:-1] + ts.shape)
+            _, b = _fold_rows(block, lambda k: _grid_phases(self.offset + k, *at), ts.size)
+            return np.sqrt(np.log1p(np.abs(b) ** 2)).reshape(vals.shape[:-1] + ts.shape)
 
-        return _refined_level(levels, grid, fresh)[sel]
+        return _refined_level(levels, grid, fresh)
 
 
 def local_search(

@@ -357,8 +357,10 @@ class _TraceGrids:
     """Uniform-grid samples feeding the ledger's row norms.
 
     A level of M points is one (2, rows, M) array from running the
-    recurrences vectorized over t, holding for every truncation index N in
-    [N_min - 1, N_max]:
+    recurrences vectorized over t, with one row per distinct truncation: the
+    empty one, then one per nonzero entry (a zero entry's factor is the
+    identity, so it repeats the row before it).  Row ``k = row_of[i]`` of
+    the window's truncation through N = N_min - 1 + i holds
 
       level[_RED][k] = |ra_N(t)| + |rb_N(t)|   (reduced pair moduli)
       level[_LIN][k] = |sum_{n <= N} F_n e^{2 pi i n t}|
@@ -366,17 +368,17 @@ class _TraceGrids:
     The levels do not depend on the exponent: one instance lives on the
     sequence's WeightSampler and serves the ledger at every p, and a level
     of 2M points is built from the cached M-point level (see
-    ``_refined_level``).  ``level(M, rows)`` is the block's rows ``rows``,
-    indexed over its flattened leading shape (see ``_refine``).
+    ``_refined_level``).
     """
 
     def __init__(self, seq: CoefficientSequence):
-        self.entries = seq.window_entries()
+        window = seq.window_entries()
+        self.entries = [(n, v) for n, v in window if v != 0]
+        self.row_of = np.cumsum([0] + [v != 0 for _, v in window])
         self._cache: dict[int, np.ndarray] = {}
 
-    def level(self, grid_size: int, rows=None) -> np.ndarray:
-        out = _refined_level(self._cache, grid_size, self._rows)
-        return out if rows is None else out.reshape(-1, grid_size)[rows]
+    def level(self, grid_size: int) -> np.ndarray:
+        return _refined_level(self._cache, grid_size, self._rows)
 
     def _rows(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
         """The rows at the points ``ts`` of the grid level ``grid = (M, odd)``,
@@ -467,9 +469,9 @@ def proof_ledger(
     if sampler.trace_grids is None:
         sampler.trace_grids = _TraceGrids(seq)
     grids = sampler.trace_grids
-    entries = grids.entries
-    n_rows = len(entries) + 1  # truncations N_min-1 .. N_max
-    n_first = entries[0][0] - 1
+    row_of = grids.row_of  # truncations N_min-1 .. N_max -> their rows
+    n_rows = len(row_of)
+    n_first = seq.support()[0] - 1
 
     out: list[LedgerEntry] = []
 
@@ -489,13 +491,12 @@ def proof_ledger(
         out.append(_entry("L2", prod_a, rhs2, max(rhs2, 1.0), context))
 
     # L3: pointwise at t_samples uniform points
-    red, lin = grids.level(t_samples)
-    absf = np.array([abs(v) for _, v in entries])
+    red, lin = (side[row_of] for side in grids.level(t_samples))
     bind3 = None
     scale3 = 1.0
     for k in range(1, n_rows):
         # rows 0..k-1 pair with |F| of entries 0..k-1
-        rhs_row = absf[:k] @ red[:k] + lin[k]
+        rhs_row = mods[:k] @ red[:k] + lin[k]
         scale3 = max(scale3, float(rhs_row.max(initial=0.0)))
         diff = rhs_row - red[k]
         j = int(np.argmin(diff))
@@ -515,12 +516,13 @@ def proof_ledger(
     # Row norms: every row of both sides refined as one block
     row_norms = lq_norm_periodic(grids.level, q, cfg, sampler.span)
     conv = row_norms.converged
-    red_vals, lin_vals = row_norms.value[_RED], row_norms.value[_LIN]
+    # each side indexed on its own: a contiguous copy keeps the dots on BLAS
+    red_vals, lin_vals = (side[row_of] for side in row_norms.value)
 
     # L4: bootstrap in norm, every N
     bind4 = None
     for k in range(1, n_rows):
-        rhs4 = float(absf[:k] @ red_vals[:k]) + lp_f
+        rhs4 = float(mods[:k] @ red_vals[:k]) + lp_f
         diff = rhs4 - float(red_vals[k])
         if bind4 is None or diff < bind4[0]:
             bind4 = (diff, float(red_vals[k]), rhs4, n_first + k)

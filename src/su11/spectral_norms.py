@@ -19,7 +19,7 @@ from .nft_core import CoefficientSequence, product_on_grid_arrays, _log_a_sq
 
 # floor for the denominators of relative errors and margins
 _TINY = 1e-300
-_STAT_CHUNK = 1 << 18  # samples per exp(q log f) pass of a block
+_STAT_CHUNK = 1 << 18  # samples per statistic call of a block (see _refine)
 # a DFT coefficient below this fraction of the peak counts as no signal
 _SUPPORT_REL_THRESHOLD = 1e-9
 
@@ -173,48 +173,50 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int) -> NormResult:
     row by row, from the first level ``_first_grid(cfg, span)``.
 
     ``level(M)`` returns the samples at t = j / M, of shape (..., M): one
-    row or a block; anything else raises TypeError, so a function of t
-    passed by mistake fails instead of yielding a wrong norm.  ``statistic``
-    maps (rows, M) to one float per row.  Each row freezes at its own first
-    converged level; after that ``level(M, rows)`` is asked for the open
-    rows only (indices over the flattened leading shape).  One row returns
-    floats, a block arrays over its leading shape (``converged`` if every
-    row did), each row with the bits it gets alone.  This is the only
-    refinement loop: every torus norm runs through it.
+    row or a block, whole at every level, with the first level's leading
+    shape; anything else raises TypeError, so a function of t passed by
+    mistake fails instead of yielding a wrong norm.  ``statistic`` maps
+    (rows, M) to an array of one float per row, each independent of the
+    others.  Each row freezes at its own first converged level; only the
+    open rows are reduced, ``_STAT_CHUNK`` samples (or one row) per call,
+    and a level whose rows are all open and fit one chunk goes uncopied.
+    One row returns floats, a block arrays over its leading shape
+    (``converged`` if every row did), each row with the bits it gets alone.
+    This is the only refinement loop: every torus norm runs through it.
     """
 
-    def sample(grid: int, rows=None) -> np.ndarray:
-        samples = level(grid) if rows is None else level(grid, rows)
-        want = (shape if rows is None else (len(rows),)) + (grid,)
-        if not isinstance(samples, np.ndarray) or samples.shape != want:
-            raise TypeError(f"level({grid}) must return an array of shape {want}")
-        return statistic(samples.reshape(-1, grid))
+    def reduce(samples, grid: int, rows: list) -> np.ndarray:
+        if not isinstance(samples, np.ndarray) or samples.shape != shape + (grid,):
+            raise TypeError(f"level({grid}) must return an array of shape {shape + (grid,)}")
+        block = samples.reshape(-1, grid)
+        chunk = max(1, _STAT_CHUNK // grid)
+        if len(rows) == len(block) <= chunk:
+            return statistic(block)
+        return np.concatenate([statistic(block[rows[i:i + chunk]])
+                               for i in range(0, len(rows), chunk)])
 
     grid = _first_grid(cfg, span)
     first = level(grid)
-    if not isinstance(first, np.ndarray) or first.shape[-1:] != (grid,):
-        raise TypeError(f"level({grid}) must return an array of shape (..., {grid})")
-    shape = first.shape[:-1]
-    value = np.array(statistic(first.reshape(-1, grid)), dtype=float)
-    grid_used = np.full(value.size, grid)
-    est = np.full(value.size, math.inf)
-    open_rows = np.arange(value.size)
+    shape = np.shape(first)[:-1]
+    open_rows = list(range(math.prod(shape)))
+    # Python floats per row: a numpy call per field and level costs more
+    value = reduce(first, grid, open_rows).tolist()
+    grid_used, est = [grid] * len(value), [math.inf] * len(value)
     history = []
-    while open_rows.size and 2 * grid <= cfg.max_grid:
-        nxt = sample(2 * grid, None if open_rows.size == value.size else open_rows)
-        step = np.abs(nxt - value[open_rows]) / np.maximum(np.abs(nxt), _TINY)
+    while open_rows and 2 * grid <= cfg.max_grid:
+        nxt = reduce(level(2 * grid), 2 * grid, open_rows).tolist()
+        step = [abs(x - value[r]) / max(abs(x), _TINY) for r, x in zip(open_rows, nxt)]
         history.append((grid, nxt, step))
-        done = step <= cfg.rel_tol
+        for r, x, e in zip(open_rows, nxt, step):
+            value[r], est[r], grid_used[r] = x, e, grid if e <= cfg.rel_tol else 2 * grid
         grid *= 2
-        value[open_rows], est[open_rows] = nxt, step
-        grid_used[open_rows] = np.where(done, grid // 2, grid)
-        open_rows = open_rows[~done]
-    converged = open_rows.size == 0
+        open_rows = [r for r, e in zip(open_rows, step) if not e <= cfg.rel_tol]
+    converged = not open_rows
     if not shape:
-        return NormResult(float(value[0]), int(grid_used[0]), float(est[0]), converged,
-                          tuple((g, float(v[0]), float(e[0])) for g, v, e in history))
-    return NormResult(value.reshape(shape), grid_used.reshape(shape), est.reshape(shape),
-                      converged, tuple(history))
+        return NormResult(value[0], grid_used[0], est[0], converged,
+                          tuple((g, v[0], e[0]) for g, v, e in history))
+    return NormResult(np.reshape(value, shape), np.reshape(grid_used, shape),
+                      np.reshape(est, shape), converged, tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +247,11 @@ def lq_norm_periodic(level, q: float, cfg: QuadratureConfig, span: int) -> NormR
         return _refine(level, lambda block: np.max(block, axis=-1), cfg, span)
 
     def stat(block: np.ndarray) -> np.ndarray:
-        means, step = [], max(1, _STAT_CHUNK // block.shape[-1])
-        for i in range(0, len(block), step):  # a few rows at a time: small temporaries
-            with np.errstate(divide="ignore"):  # exp(q log 0) = exp(-inf) = 0
-                powers = np.log(block[i:i + step])
-            powers *= q
-            means += np.mean(np.exp(powers, out=powers), axis=-1).tolist()
+        with np.errstate(divide="ignore"):  # exp(q log 0) = exp(-inf) = 0
+            powers = np.log(block)
+        powers *= q
+        # the sum over the count: np.mean's bits without its slow wrapper
+        means = (np.add.reduce(np.exp(powers, out=powers), axis=-1) / block.shape[-1]).tolist()
         return np.array([m ** (1.0 / q) if m > 0 else 0.0 for m in means])
 
     return _refine(level, stat, cfg, span)
@@ -285,8 +286,8 @@ def parseval_residual(
     below 1e-9 for well-resolved inputs.
     """
     sampler = WeightSampler(seq)
-    integral = _refine(sampler.logsq_on_grid, lambda block: np.mean(block, axis=-1), cfg,
-                       sampler.span)
+    integral = _refine(sampler.logsq_on_grid, lambda b: np.add.reduce(b, axis=-1) / b.shape[-1],
+                       cfg, sampler.span)  # np.mean's bits, see lq_norm_periodic
     seq_side = float(sum(_log_a_sq(m) for m in seq.moduli()))
     return integral.value - seq_side, integral
 

@@ -23,7 +23,7 @@ from su11 import (
 from su11.extended import mp_hy_margin, mp_product
 from su11 import inequality_harness
 from su11.inequality_harness import _TraceGrids
-from su11.nft_core import _phases, product_on_grid_arrays
+from su11.nft_core import _grid_phases, _phases, product_on_grid_arrays
 from su11.spectral_norms import NormResult, WeightSampler, _first_grid, lq_norm_periodic
 from su11.verification import PLACEHOLDER_CC, THEOREM1_PS, condition9_draw, theorem1_suite
 
@@ -336,6 +336,74 @@ def test_ledger_rows_match_a_per_row_refinement(quad, monkeypatch):
               for seq, p in cases]
     assert block == oracle
     assert all(not entry["precondition_failed"] for entry in block[-1])
+
+
+class _DenseTraceGrids(_TraceGrids):
+    """Ledger rows with one row per truncation of the window, interior zeros
+    included, each built by its own step: the reference for the distinct
+    rows."""
+
+    def __init__(self, seq):
+        super().__init__(seq)
+        self.entries = seq.window_entries()
+        self.row_of = np.arange(len(self.entries) + 1)
+
+    def _rows(self, ts, grid):
+        out = np.zeros((2, len(self.entries) + 1, ts.size))
+        ra = np.zeros(ts.size, dtype=complex)
+        rb = np.zeros(ts.size, dtype=complex)
+        lin = np.zeros(ts.size, dtype=complex)
+        for k, (n, v) in enumerate(self.entries, start=1):
+            e = _grid_phases(n, *grid)
+            ra, rb = ra + rb * np.conj(v) * np.conj(e), rb + v * e + ra * v * e
+            lin = lin + v * e
+            out[0, k] = np.abs(ra) + np.abs(rb)
+            out[1, k] = np.abs(lin)
+        return out
+
+
+def _interior_zeros(rng):
+    """A draw of 3 to 12 entries, about half its interior entries zero."""
+    seq = random_sequence_draw(rng, l1_target=float(rng.uniform(0.05, 0.5)))
+    vals = np.array(seq.values)
+    vals[1:-1][rng.uniform(size=max(vals.size - 2, 0)) < 0.5] = 0
+    return CoefficientSequence(seq.offset, tuple(vals))
+
+
+@pytest.mark.parametrize("vals, row_of", [
+    ((0.3,), [0, 1]),
+    ((0.1, 0, 0, 0.2j), [0, 1, 1, 1, 2]),
+    ((0.1, 0.2, 0, 0.05, 0, 0, -0.1), [0, 1, 2, 2, 3, 3, 3, 4]),
+])
+def test_ledger_keeps_one_row_per_distinct_truncation(vals, row_of):
+    """The rows are the empty truncation and one per nonzero entry; each
+    truncation of the window maps to its row."""
+    grids = _TraceGrids(CoefficientSequence(-3, vals))
+    nnz = sum(v != 0 for v in vals)
+    assert grids.level(16).shape == (2, nnz + 1, 16)
+    assert grids.row_of.tolist() == row_of
+
+
+def test_ledger_with_distinct_rows_matches_dense_rows(quad):
+    """Ledgers on inputs with interior zeros equal, entry for entry and bit
+    for bit, the ledgers built on one row per truncation of the window:
+    random draws at every exponent, a spread input (L8/L9 evaluated) and
+    eight entries 16 apart."""
+    rng = np.random.default_rng(90210)
+    cases = [(_interior_zeros(rng), quad, p) for _ in range(8) for p in THEOREM1_PS]
+    cases.append((CoefficientSequence(0, (0.001, 0, 0.001, 0, 0, 0.001) * 3), quad, 1.5))
+    cases.append((CoefficientSequence(0, ((0.06,) + (0,) * 15) * 7 + (0.06,)),
+                  QuadratureConfig(max_grid=2**14), 1.9))
+    l8_evaluated = False
+    for seq, cfg, p in cases:
+        dense = WeightSampler(seq)
+        dense.trace_grids = _DenseTraceGrids(seq)
+        got = proof_ledger(seq, ExponentPair(p), PLACEHOLDER_CC, cfg, t_samples=12)
+        want = proof_ledger(seq, ExponentPair(p), PLACEHOLDER_CC, cfg, t_samples=12,
+                            sampler=dense)
+        assert _nan_safe(got) == _nan_safe(want), (seq, p)
+        l8_evaluated |= not _by_id(got)["L8"].precondition_failed
+    assert l8_evaluated
 
 
 # F = 0.2 at n = 0 and n = 512: grid levels below 1025 points alias |b|^2

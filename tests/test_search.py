@@ -79,13 +79,13 @@ def _random_rows(rng, rows, width, zero_frac):
 
 def _level_spy(calls):
     """A stand-in for ``_WalkEvaluator._lhs_on_grid`` that records each call
-    as (candidates, grid, served from the cache, rows, level)."""
+    as (candidates, grid, served from the cache, level)."""
     original = _WalkEvaluator._lhs_on_grid
 
-    def spy(self, vals, grid, levels, *rows):
+    def spy(self, vals, grid, levels):
         cached = grid in levels
-        out = original(self, vals, grid, levels, *rows)
-        calls.append((vals, grid, cached, rows, out))
+        out = original(self, vals, grid, levels)
+        calls.append((vals, grid, cached, out))
         return out
 
     return spy
@@ -118,10 +118,10 @@ def test_batched_levels_match_one_row_folds(seed, rows, width, offset, grid):
     first = _first_grid(quad, width - 1)
     batch = calls[:2]
     # served by the batch, for every live candidate at once
-    assert [(level, cached, rows) for _, level, cached, rows, _ in batch] == [
-        (first, True, ()), (2 * first, True, ())]
+    assert [(level, cached) for _, level, cached, _ in batch] == [
+        (first, True), (2 * first, True)]
     alone = _WalkEvaluator(offset, width, e, quad)
-    for block, level, _, _, got in batch:
+    for block, level, _, got in batch:
         assert np.array_equal(block, np.array(live))
         for cand, row in zip(live, got):
             assert row.tobytes() == alone._lhs_on_grid(cand, level, {}).tobytes()
@@ -145,8 +145,7 @@ def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
 
 def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
     """A level of M points past the batch folds only its M // 2 new odd
-    points, and only for the candidates still open; the even ones are the
-    cached half level."""
+    points; the even ones are the cached half level."""
     calls, folded = [], []
     original_fold = extremizer_search._fold_rows
 
@@ -159,11 +158,9 @@ def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
     quad = QuadratureConfig(initial_grid=4, max_grid=2**16, rel_tol=1e-9)
     cands = list(_random_rows(np.random.default_rng(7), 4, 6, 0.0))
     list(_WalkEvaluator(-2, 6, ExponentPair(1.3), quad).ratios(cands))
-    past = [(len(rows[0]) if rows else len(cands), grid)
-            for _, grid, cached, rows, _ in calls if not cached]
+    past = [grid for _, grid, cached, _ in calls if not cached]
     assert past and folded == [(4, 2 * _first_grid(quad, 5))] + [
-        (n, grid // 2) for n, grid in past]
-    assert min(n for n, _ in past) < len(cands)  # some candidates froze earlier
+        (4, grid // 2) for grid in past]
 
 
 def _one_at_a_time_walk(start, exponents, cfg):

@@ -358,11 +358,8 @@ def test_sampler_evaluates_only_new_odd_points(monkeypatch):
 
 def _block_level(builders):
     """A grid-level function over a block of rows, one ``builders[i](M)``
-    per row, that serves ``level(M, rows)`` as ``_refine`` asks for it."""
-    def level(M, rows=None):
-        out = np.array([build(M) for build in builders]).reshape(-1, M)
-        return out if rows is None else out[rows]
-    return level
+    per row."""
+    return lambda M: np.array([build(M) for build in builders]).reshape(-1, M)
 
 
 def _same_bits(block, r, one):
@@ -397,7 +394,7 @@ def test_block_refine_rows_equal_one_row_refinements(seed, width, q, max_grid):
     assert all(_same_bits(block, r, one) for r, one in enumerate(ones))
     assert not block.converged
     assert block.grid_used[builders.index(drifting)] == max_grid
-    empty = lq_norm_periodic(lambda M, rows=None: np.zeros((0, M)), q, cfg, 0)
+    empty = lq_norm_periodic(lambda M: np.zeros((0, M)), q, cfg, 0)
     assert empty.value.shape == (0,) and empty.converged
 
 
@@ -422,46 +419,49 @@ def test_block_refine_keeps_the_leading_shape():
     builders = [WeightSampler(s).on_grid for s in seqs] + [WeightSampler(s).b_abs_on_grid
                                                           for s in seqs]
     flat = _block_level(builders)
-
-    def level(M, rows=None):
-        return flat(M).reshape(2, 2, M) if rows is None else flat(M, rows)
-
-    res = lq_norm_periodic(level, 3.0, QuadratureConfig(), 2)
+    res = lq_norm_periodic(lambda M: flat(M).reshape(2, 2, M), 3.0, QuadratureConfig(), 2)
     assert res.value.shape == res.grid_used.shape == res.est_rel_error.shape == (2, 2)
     ones = [lq_norm_periodic(build, 3.0, QuadratureConfig(), 2)
             for build in builders]
     assert [float(v) for v in res.value.ravel()] == [one.value for one in ones]
 
 
-def test_block_statistic_sees_only_open_rows_after_level_two():
+def test_block_statistic_sees_only_open_rows_after_level_two(monkeypatch):
     """From the third level on the statistic gets the open rows only: a
-    constant row freezes at the second level, a rough row refines on, and
-    the level is asked for the rough row alone."""
-    seen, asked = [], []
+    constant row freezes at the second level, a rough row refines on.  With
+    a small ``_STAT_CHUNK`` no call gets more than one chunk of rows, and
+    the result keeps its bits."""
     rows = [lambda M: np.full(M, 0.5), lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3]
-    flat = _block_level(rows)
-
-    def level(M, open_rows=None):
-        asked.append(None if open_rows is None else open_rows.tolist())
-        return flat(M, open_rows)
+    cfg = QuadratureConfig(initial_grid=4, max_grid=2**10, rel_tol=1e-12)
+    seen = []
 
     def statistic(block):
-        seen.append(block.shape[0])
+        seen.append(block.shape)
         return np.mean(block, axis=-1)
 
-    res = _refine(level, statistic, QuadratureConfig(initial_grid=4, max_grid=2**10,
-                                                     rel_tol=1e-12), 0)
-    assert seen == [2, 2] + [1] * (len(seen) - 2) and len(seen) == 9
-    assert asked == [None, None] + [[1]] * 7
+    res = _refine(_block_level(rows), statistic, cfg, 0)
+    assert [n for n, _ in seen] == [2, 2] + [1] * (len(seen) - 2) and len(seen) == 9
     assert res.grid_used.tolist() == [4, 2**10] and res.converged is False
+
+    seen.clear()
+    monkeypatch.setattr(spectral_norms, "_STAT_CHUNK", 6)
+    chunked = _refine(_block_level(rows), statistic, cfg, 0)
+    assert all(n <= max(1, 6 // M) for n, M in seen) and len(seen) > 9
+    assert chunked.value.tobytes() == res.value.tobytes()
+    assert chunked.grid_used.tolist() == res.grid_used.tolist()
 
 
 def test_block_refine_rejects_a_level_of_the_wrong_shape():
+    """The leading shape of every level must be the first level's."""
     cfg = QuadratureConfig(initial_grid=4, max_grid=64, rel_tol=1e-12)
     rough = lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3
+
+    def level(M):  # two rows at the first level, then the rough row alone
+        block = np.array([np.full(M, 0.5), rough(M)])
+        return block if M == 4 else block[1:]
+
     with pytest.raises(TypeError):
-        # asked for the open row only, it returns the whole block
-        lq_norm_periodic(lambda M, rows=None: np.array([np.full(M, 0.5), rough(M)]), 2.0, cfg, 0)
+        lq_norm_periodic(level, 2.0, cfg, 0)
 
 
 # ---------------------------------------------------------------------------
