@@ -36,7 +36,6 @@ from .spectral_norms import (
     _TINY,
     _refined_level,
     lp_sequence_norm,
-    lq_norm_periodic,
     nl_weight_sequence,
 )
 
@@ -209,6 +208,17 @@ def _require_nonzero(seq: CoefficientSequence):
         raise ZeroSequenceError("the zero sequence has no ratio")
 
 
+def _sampler_for(seq: CoefficientSequence, sampler: WeightSampler | None,
+                 exponents: ExponentPair) -> WeightSampler:
+    """``sampler``, checked to belong to ``seq``, or a new one for ``seq``
+    at ``exponents``: another sequence's samples would give its norms."""
+    if sampler is None:
+        return WeightSampler(seq, (exponents.p,))
+    if sampler.seq != seq:
+        raise ValueError("the sampler was built for another sequence")
+    return sampler
+
+
 def weight_rhs(seq: CoefficientSequence, p: float) -> float:
     """Sequence side of the nonlinear inequality: lp norm of the weights."""
     return lp_sequence_norm(nl_weight_sequence(seq), p)
@@ -230,9 +240,8 @@ def hy_ratio(
     norm of (log A_n^2)^(1/2).  Single-spike sequences give ratio 1 exactly.
     """
     _require_nonzero(seq)
-    if sampler is None:
-        sampler = WeightSampler(seq)
-    lhs = lq_norm_periodic(sampler.on_grid, exponents.q, cfg, sampler.span)
+    sampler = _sampler_for(seq, sampler, exponents)
+    lhs = sampler.norm(sampler.on_grid, exponents.q, cfg)
     rhs = weight_rhs(seq, exponents.p)
     return HyReport(
         exponents=exponents,
@@ -368,7 +377,8 @@ class _TraceGrids:
     The levels do not depend on the exponent: one instance lives on the
     sequence's WeightSampler and serves the ledger at every p, and a level
     of 2M points is built from the cached M-point level (see
-    ``_refined_level``).
+    ``_refined_level``).  Nor does link L3, kept per ``t_samples`` in
+    ``l3``.
     """
 
     def __init__(self, seq: CoefficientSequence):
@@ -376,26 +386,37 @@ class _TraceGrids:
         self.entries = [(n, v) for n, v in window if v != 0]
         self.row_of = np.cumsum([0] + [v != 0 for _, v in window])
         self._cache: dict[int, np.ndarray] = {}
+        self.l3: dict[int, LedgerEntry] = {}
 
     def level(self, grid_size: int) -> np.ndarray:
         return _refined_level(self._cache, grid_size, self._rows)
 
     def _rows(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
         """The rows at the points ``ts`` of the grid level ``grid = (M, odd)``,
-        whose phases are gathered (``_grid_phases``)."""
+        whose phases are gathered (``_grid_phases``).
+
+        The reduced step is ``ra + rb conj(v) conj(e)`` and
+        ``(rb + v e) + ra v e``, with ``v e`` shared with ``lin``; every
+        product and sum is written into preallocated arrays in that order,
+        so the rows carry the bits of the plain expressions."""
         out = np.zeros((2, len(self.entries) + 1, ts.size))
-        ra = np.zeros(ts.size, dtype=complex)
-        rb = np.zeros(ts.size, dtype=complex)
-        lin = np.zeros(ts.size, dtype=complex)
+        ra, rb, lin, ve, ce, t1, t2 = np.zeros((7, ts.size), dtype=complex)
+        mod = np.empty(ts.size)
         for k, (n, v) in enumerate(self.entries, start=1):
             e = _grid_phases(n, *grid)
-            ra, rb = (
-                ra + rb * np.conj(v) * np.conj(e),
-                rb + v * e + ra * v * e,
-            )
-            lin = lin + v * e
-            out[_RED, k] = np.abs(ra) + np.abs(rb)
-            out[_LIN, k] = np.abs(lin)
+            np.multiply(v, e, out=ve)
+            np.multiply(rb, np.conj(v), out=t1)
+            np.multiply(t1, np.conjugate(e, out=ce), out=t1)  # rb conj(v) conj(e)
+            np.multiply(ra, v, out=t2)
+            np.multiply(t2, e, out=t2)  # ra v e, from the old ra
+            np.add(ra, t1, out=ra)
+            np.add(rb, ve, out=rb)
+            np.add(rb, t2, out=rb)
+            np.add(lin, ve, out=lin)
+            red = out[_RED, k]
+            np.abs(ra, out=red)
+            red += np.abs(rb, out=mod)
+            np.abs(lin, out=out[_LIN, k])
         return out
 
 
@@ -450,8 +471,10 @@ def proof_ledger(
 
     An entry holds when its rhs-relative margin is at least
     -DEFAULT_MARGIN_TOL.  Hypothesis failures are recorded per entry, never
-    raised.  ``sampler`` (for ``seq``) lets the ledgers at several exponents
-    and the theorem margins share one set of grid samples.
+    raised.  ``sampler`` (built for ``seq``, else ValueError) lets the
+    ledgers at several exponents and the theorem margins share one set of
+    grid samples and norms: the weight norm is the margin's, and the rows
+    and ``|b|`` are refined at all of the sampler's exponents at once.
     """
     if t_samples < 1:
         raise ValueError(f"t_samples must be >= 1, got {t_samples!r}")
@@ -464,8 +487,7 @@ def proof_ledger(
     lp_w = lp_sequence_norm(weights, p)
     log_prod_a = 0.5 * float(sum(_log_a_sq(m) for m in mods))
     prod_a = math.exp(log_prod_a)
-    if sampler is None:
-        sampler = WeightSampler(seq)
+    sampler = _sampler_for(seq, sampler, exponents)
     if sampler.trace_grids is None:
         sampler.trace_grids = _TraceGrids(seq)
     grids = sampler.trace_grids
@@ -490,31 +512,31 @@ def proof_ledger(
             rhs2, context = (1.0 - l1 * l1) ** -0.5, "bound=(1-l1^2)^(-1/2)"
         out.append(_entry("L2", prod_a, rhs2, max(rhs2, 1.0), context))
 
-    # L3: pointwise at t_samples uniform points
-    red, lin = (side[row_of] for side in grids.level(t_samples))
-    bind3 = None
-    scale3 = 1.0
-    for k in range(1, n_rows):
-        # rows 0..k-1 pair with |F| of entries 0..k-1
-        rhs_row = mods[:k] @ red[:k] + lin[k]
-        scale3 = max(scale3, float(rhs_row.max(initial=0.0)))
-        diff = rhs_row - red[k]
-        j = int(np.argmin(diff))
-        if bind3 is None or diff[j] < bind3[0]:
-            bind3 = (float(diff[j]), float(red[k][j]), float(rhs_row[j]),
-                     f"N={n_first + k}, t={j}/{t_samples}")
-    out.append(
-        _entry(
+    # L3: pointwise at t_samples uniform points; the same at every p
+    if t_samples not in grids.l3:
+        red, lin = (side[row_of] for side in grids.level(t_samples))
+        bind3 = None
+        scale3 = 1.0
+        for k in range(1, n_rows):
+            # rows 0..k-1 pair with |F| of entries 0..k-1
+            rhs_row = mods[:k] @ red[:k] + lin[k]
+            scale3 = max(scale3, float(rhs_row.max(initial=0.0)))
+            diff = rhs_row - red[k]
+            j = int(np.argmin(diff))
+            if bind3 is None or diff[j] < bind3[0]:
+                bind3 = (float(diff[j]), float(red[k][j]), float(rhs_row[j]),
+                         f"N={n_first + k}, t={j}/{t_samples}")
+        grids.l3[t_samples] = _entry(
             "L3",
             bind3[1],
             bind3[2],
             scale3,
             context=f"binding at {bind3[3]}; {t_samples} t-points",
         )
-    )
+    out.append(grids.l3[t_samples])
 
     # Row norms: every row of both sides refined as one block
-    row_norms = lq_norm_periodic(grids.level, q, cfg, sampler.span)
+    row_norms = sampler.norm(grids.level, q, cfg)
     conv = row_norms.converged
     # each side indexed on its own: a contiguous copy keeps the dots on BLAS
     red_vals, lin_vals = (side[row_of] for side in row_norms.value)
@@ -555,11 +577,11 @@ def proof_ledger(
         )
 
     # L6: weight norm <= ||b||_q <= prod_a ||F||_p / (1 - l1)
-    w_norm = lq_norm_periodic(sampler.on_grid, q, cfg, sampler.span)
+    w_norm = sampler.norm(sampler.on_grid, q, cfg)
     if l1 >= 1.0:
         out.append(_skipped("L6", f"l1={l1!r} >= 1"))
     else:
-        b_norm = lq_norm_periodic(sampler.b_abs_on_grid, q, cfg, sampler.span)
+        b_norm = sampler.norm(sampler.b_abs_on_grid, q, cfg)
         cap6 = prod_a * lp_f / (1.0 - l1)
         m_a = b_norm.value - w_norm.value
         m_b = cap6 - b_norm.value

@@ -12,13 +12,14 @@ first row (a, b) is ever stored; the second row is its conjugate.
 
 All functions here are pure; the dataclasses are frozen and safe to share
 across threads.  Every binary64 product in the package, on a grid or at one
-t and in any factor order, runs through the one fold ``_fold`` with phase
-rows from ``_phases``, so ``product_on_grid_arrays(F, ts)`` at ``ts[j]``
-and at the single point ``ts[j:j + 1]`` agree bit for bit.
-``_fold_rows`` folds several sequences at once with the same step
-``_step``; it steps every entry, a zero one as the exact identity factor,
-so each row matches its own ``_fold`` (which skips zeros) bit for bit up to
-the sign of a zero, and |a|, |b| exactly.
+t and in any factor order, runs through one factor step ``_step`` in one of
+two loops, with phase rows from ``_phases``.  ``_fold`` folds one sequence
+with scalar factors, so ``product_on_grid_arrays(F, ts)`` at ``ts[j]`` and
+at the single point ``ts[j:j + 1]`` agree bit for bit.  ``_fold_rows``
+folds several sequences at once, one factor column per entry; it steps
+every entry, a zero one as the exact identity factor, so each row matches
+its own ``_fold`` (which skips zeros) bit for bit up to the sign of a zero,
+and |a|, |b| exactly.
 
 Every quadrature level is a power-of-two grid ``j / M``, and there the
 phases need no ``exp``: ``j / M``, ``n * j / M`` and its reduction mod 1 are

@@ -125,16 +125,39 @@ class WeightSampler:
     therefore evaluated once per sequence, and a level of 2M points is built
     from the cached M-point level by evaluating only the M new odd points.
     ``span`` (``N_max - N_min``) sets the first level of a refinement.
+
+    The norms are shared too (``norm``): the sampler is built with the
+    exponents ``ps`` it serves, and the first norm asked of a level
+    function refines it at all of them in one refinement.
     """
 
-    def __init__(self, seq: CoefficientSequence):
+    def __init__(self, seq: CoefficientSequence, ps: tuple[float, ...] = ()):
         self.seq = seq
         support = seq.support()
         self.span = 0 if support is None else support[1] - support[0]
+        self.qs = tuple(ExponentPair(p).q for p in ps)
         self._b_abs: dict[int, np.ndarray] = {}
         self._logsq: dict[int, np.ndarray] = {}
         self._weight: dict[int, np.ndarray] = {}
+        self._norms: dict[tuple, dict[float, NormResult]] = {}
         self.trace_grids = None  # set by proof_ledger on first use
+
+    def norm(self, level, q: float, cfg: QuadratureConfig) -> NormResult:
+        """``lq_norm_periodic(level, q, cfg, span)`` of one of this sampler's
+        level functions (``on_grid``, ``b_abs_on_grid`` or
+        ``trace_grids.level``), memoized per function, ``q`` and ``cfg``.  A
+        miss refines ``q`` together with every exponent of the sampler not
+        yet memoized for that function, each with the bits it gets alone."""
+        # keyed by the plain function: a bound method would tie the sampler
+        # into a reference cycle and hold its levels until a collection
+        memo = self._norms.setdefault((level.__func__, cfg), {})
+        if q not in memo:
+            qs = (q,) + tuple(x for x in self.qs if x != q and x not in memo)
+            if len(qs) == 1:  # the one-value path of _refine
+                memo[q] = lq_norm_periodic(level, q, cfg, self.span)
+            else:
+                memo.update(zip(qs, lq_norm_periodic(level, qs, cfg, self.span)))
+        return memo[q]
 
     def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
         return np.abs(product_on_grid_arrays(self.seq, ts, grid)[1])
@@ -168,21 +191,27 @@ def _first_grid(cfg: QuadratureConfig, span: int) -> int:
     return min(max(cfg.initial_grid, 1 << (2 * span + 1).bit_length()), cfg.max_grid)
 
 
-def _refine(level, statistic, cfg: QuadratureConfig, span: int) -> NormResult:
+def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int = 0) -> NormResult:
     """Double the grid until two successive statistics agree to rel_tol,
     row by row, from the first level ``_first_grid(cfg, span)``.
 
     ``level(M)`` returns the samples at t = j / M, of shape (..., M): one
     row or a block, whole at every level, with the first level's leading
     shape; anything else raises TypeError, so a function of t passed by
-    mistake fails instead of yielding a wrong norm.  ``statistic`` maps
-    (rows, M) to an array of one float per row, each independent of the
-    others.  Each row freezes at its own first converged level; only the
-    open rows are reduced, ``_STAT_CHUNK`` samples (or one row) per call,
-    and a level whose rows are all open and fit one chunk goes uncopied.
-    One row returns floats, a block arrays over its leading shape
-    (``converged`` if every row did), each row with the bits it gets alone.
-    This is the only refinement loop: every torus norm runs through it.
+    mistake fails instead of yielding a wrong norm.  ``statistic(block)``
+    maps (rows, M) to one float per row, each independent of the others.
+    With ``columns = K`` a row holds K cells (one per exponent, say), and
+    ``statistic(block, cols)`` maps (rows, M) to the (rows, len(cols))
+    values of the columns ``cols``, those still open in some row.
+
+    Each cell freezes at its own first converged level; a row is reduced
+    while any of its cells is open, ``_STAT_CHUNK`` samples (or one row)
+    per call, and a level whose rows are all open and fit one chunk goes
+    uncopied.  One row returns floats, a block arrays over its leading
+    shape (with ``K`` last; ``converged`` if every cell did), each cell
+    with the bits it gets alone.  A step of a ``K``-column history also
+    lists its open cells, ``row * K + k``.  This is the only refinement
+    loop: every torus norm runs through it.
     """
 
     def reduce(samples, grid: int, rows: list) -> np.ndarray:
@@ -198,25 +227,69 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int) -> NormResult:
     grid = _first_grid(cfg, span)
     first = level(grid)
     shape = np.shape(first)[:-1]
-    open_rows = list(range(math.prod(shape)))
-    # Python floats per row: a numpy call per field and level costs more
-    value = reduce(first, grid, open_rows).tolist()
+    rows = list(range(math.prod(shape)))
+    K = columns or 1
+    if columns:
+        of_columns, cols = statistic, list(range(K))
+        # reduce's statistic: the columns ``cols`` as each level rebinds them
+        statistic = lambda block: of_columns(block, cols)  # noqa: E731
+    # Python floats per cell (row * K + k): a numpy call per field and level
+    # costs more; ``cells`` are the open ones
+    first = reduce(first, grid, rows)
+    value = first.ravel().tolist() if columns else first.tolist()
+    cells = list(range(len(value))) if columns else rows
     grid_used, est = [grid] * len(value), [math.inf] * len(value)
     history = []
-    while open_rows and 2 * grid <= cfg.max_grid:
-        nxt = reduce(level(2 * grid), 2 * grid, open_rows).tolist()
-        step = [abs(x - value[r]) / max(abs(x), _TINY) for r, x in zip(open_rows, nxt)]
-        history.append((grid, nxt, step))
-        for r, x, e in zip(open_rows, nxt, step):
-            value[r], est[r], grid_used[r] = x, e, grid if e <= cfg.rel_tol else 2 * grid
+    while cells and 2 * grid <= cfg.max_grid:
+        if columns:
+            rows = list(dict.fromkeys(c // K for c in cells))
+            cols = sorted({c % K for c in cells})
+            at_row = {r: i * len(cols) for i, r in enumerate(rows)}
+            at_col = {k: j for j, k in enumerate(cols)}
+            nxt = reduce(level(2 * grid), 2 * grid, rows).ravel().tolist()
+            nxt = [nxt[at_row[c // K] + at_col[c % K]] for c in cells]
+        else:
+            nxt = reduce(level(2 * grid), 2 * grid, cells).tolist()
+        step = [abs(x - value[c]) / max(abs(x), _TINY) for c, x in zip(cells, nxt)]
+        history.append((grid, nxt, step, cells) if columns else (grid, nxt, step))
+        for c, x, e in zip(cells, nxt, step):
+            value[c], est[c], grid_used[c] = x, e, grid if e <= cfg.rel_tol else 2 * grid
         grid *= 2
-        open_rows = [r for r, e in zip(open_rows, step) if not e <= cfg.rel_tol]
-    converged = not open_rows
+        cells = [c for c, e in zip(cells, step) if not e <= cfg.rel_tol]
+    converged = not cells
+    if columns:
+        shape += (K,)
     if not shape:
         return NormResult(value[0], grid_used[0], est[0], converged,
                           tuple((g, v[0], e[0]) for g, v, e in history))
     return NormResult(np.reshape(value, shape), np.reshape(grid_used, shape),
                       np.reshape(est, shape), converged, tuple(history))
+
+
+def _columns(res: NormResult) -> tuple[NormResult, ...]:
+    """The columns of a ``K``-column refinement (see ``_refine``), each as
+    the NormResult its statistic's column gets refined alone: the same
+    fields, and the history of the levels at which its cells were open."""
+    K = res.value.shape[-1]
+    histories = [[] for _ in range(K)]
+    for g, nxt, step, cells in res.history:
+        split = [([], []) for _ in range(K)]
+        for c, x, e in zip(cells, nxt, step):
+            xs, es = split[c % K]
+            xs.append(x)
+            es.append(e)
+        for history, (xs, es) in zip(histories, split):
+            if xs:
+                history.append((g, xs, es))
+    # a cell still open at the end reports the finest level sampled
+    top = 2 * res.history[-1][0] if res.history else 0
+    if res.value.ndim == 1:  # one row: floats, as _refine gives them
+        return tuple(NormResult(v, g, e, g < top, tuple((s, x[0], y[0]) for s, x, y in h))
+                     for v, g, e, h in zip(res.value.tolist(), res.grid_used.tolist(),
+                                           res.est_rel_error.tolist(), histories))
+    return tuple(NormResult(res.value[..., k], res.grid_used[..., k], res.est_rel_error[..., k],
+                            bool(np.all(res.grid_used[..., k] < top)), tuple(h))
+                 for k, h in enumerate(histories))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +304,7 @@ def nl_weight_sequence(seq: CoefficientSequence) -> np.ndarray:
     return np.sqrt([_log_a_sq(m) for m in seq.moduli()])
 
 
-def lq_norm_periodic(level, q: float, cfg: QuadratureConfig, span: int) -> NormResult:
+def lq_norm_periodic(level, q, cfg: QuadratureConfig, span: int):
     """(integral of f^q over one period)^(1/q) by refining trapezoid sums.
 
     ``f`` is a nonnegative periodic function on [0, 1), or a block of them,
@@ -240,21 +313,57 @@ def lq_norm_periodic(level, q: float, cfg: QuadratureConfig, span: int) -> NormR
     ``1 / q`` in Python floats, so it gets the bits it gets alone.  ``q =
     inf`` uses the sampled maximum, with one refinement doubling as the
     error estimate.
+
+    ``q`` may be a tuple of exponents: one refinement then serves them all,
+    with one ``log`` per chunk of samples, and a tuple of NormResults comes
+    back, one per ``q``, each bit for bit the NormResult of its own
+    refinement (every (row, q) cell freezes on its own, see ``_refine``).
     """
-    if q != math.inf and q < 1.0:
-        raise ValueError(f"q = {q!r} must be >= 1")
-    if q == math.inf:
-        return _refine(level, lambda block: np.max(block, axis=-1), cfg, span)
+    if not isinstance(q, tuple):
+        if q != math.inf and q < 1.0:
+            raise ValueError(f"q = {q!r} must be >= 1")
+        if q == math.inf:
+            return _refine(level, lambda block: np.max(block, axis=-1), cfg, span)
 
-    def stat(block: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # exp(q log 0) = exp(-inf) = 0
-            powers = np.log(block)
-        powers *= q
-        # the sum over the count: np.mean's bits without its slow wrapper
-        means = (np.add.reduce(np.exp(powers, out=powers), axis=-1) / block.shape[-1]).tolist()
-        return np.array([m ** (1.0 / q) if m > 0 else 0.0 for m in means])
+        def stat(block: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore"):  # exp(q log 0) = exp(-inf) = 0
+                powers = np.log(block)
+            powers *= q
+            # the sum over the count: np.mean's bits without its slow wrapper
+            means = (np.add.reduce(np.exp(powers, out=powers), axis=-1) / block.shape[-1]).tolist()
+            return np.array([m ** (1.0 / q) if m > 0 else 0.0 for m in means])
 
-    return _refine(level, stat, cfg, span)
+        return _refine(level, stat, cfg, span)
+
+    qs = q
+    for x in qs:
+        if x != math.inf and x < 1.0:
+            raise ValueError(f"q = {x!r} must be >= 1")
+
+    def stat_columns(block: np.ndarray, cols: list) -> np.ndarray:
+        """The columns ``cols`` of (rows, K): each q's steps above, element
+        for element, after one ``log`` shared by all, a few q per pass."""
+        out = [None] * len(cols)
+        finite = []
+        for j, k in enumerate(cols):
+            if qs[k] == math.inf:
+                out[j] = np.max(block, axis=-1).tolist()
+            else:
+                finite.append(j)
+        if finite:
+            with np.errstate(divide="ignore"):
+                logs = np.log(block)
+            per_pass = max(1, _STAT_CHUNK // block.size)
+            for i in range(0, len(finite), per_pass):
+                js = finite[i:i + per_pass]
+                powers = logs[:, None, :] * np.array([qs[cols[j]] for j in js])[:, None]
+                means = np.add.reduce(np.exp(powers, out=powers), axis=-1) / block.shape[-1]
+                for j, col in zip(js, means.T.tolist()):
+                    x = qs[cols[j]]
+                    out[j] = [m ** (1.0 / x) if m > 0 else 0.0 for m in col]
+        return np.array(out).T
+
+    return _columns(_refine(level, stat_columns, cfg, span, len(qs)))
 
 
 def lp_sequence_norm(w, p: float) -> float:

@@ -270,7 +270,7 @@ def theorem1_suite(
         )
         if seq.is_zero():
             continue
-        sampler = WeightSampler(seq)
+        sampler = WeightSampler(seq, THEOREM1_PS)
         for p in THEOREM1_PS:
             e = ExponentPair(p)
             report = theorem1_margin(seq, e, cfg, sampler=sampler)
@@ -315,7 +315,7 @@ def theorem2_suite(
             rep.fail(F=seq.to_json_dict(), p=p, kind="construction",
                      margin=cond.margin)
             continue
-        sampler = WeightSampler(seq)
+        sampler = WeightSampler(seq, (p,))
         report = theorem2_margin(seq, e, cc, cfg, sampler=sampler)
         rep.n_checked += 1
         rel = report.margin_rel

@@ -21,7 +21,7 @@ from su11 import (
     theorem2_margin,
 )
 from su11.extended import mp_hy_margin, mp_product
-from su11 import inequality_harness
+from su11 import inequality_harness, spectral_norms
 from su11.inequality_harness import _TraceGrids
 from su11.nft_core import _grid_phases, _phases, product_on_grid_arrays
 from su11.spectral_norms import NormResult, WeightSampler, _first_grid, lq_norm_periodic
@@ -295,13 +295,61 @@ def test_ledger_with_shared_sampler_matches_fresh_calls(quad):
         CoefficientSequence(0, (0.001,) * 10),  # spread: L8/L9 evaluated
     ]
     for seq in seqs:
-        sampler = WeightSampler(seq)
-        for p in THEOREM1_PS:
-            e = ExponentPair(p)
-            hy_ratio(seq, e, quad, sampler=sampler)
-            shared = proof_ledger(seq, e, CC, quad, t_samples=12, sampler=sampler)
-            fresh = proof_ledger(seq, e, CC, quad, t_samples=12)
-            assert _nan_safe(shared) == _nan_safe(fresh), (seq, p)
+        for sampler in (WeightSampler(seq), WeightSampler(seq, THEOREM1_PS)):
+            for p in THEOREM1_PS:
+                e = ExponentPair(p)
+                assert (hy_ratio(seq, e, quad, sampler=sampler).to_dict()
+                        == hy_ratio(seq, e, quad).to_dict())
+                shared = proof_ledger(seq, e, CC, quad, t_samples=12, sampler=sampler)
+                fresh = proof_ledger(seq, e, CC, quad, t_samples=12)
+                assert _nan_safe(shared) == _nan_safe(fresh), (seq, p)
+
+
+def test_a_sampler_of_another_sequence_is_rejected(quad):
+    """Every entry point that takes ``sampler=`` refuses one built for
+    another sequence: its samples would give that sequence's norms."""
+    e = ExponentPair(1.5)
+    seq, spread = CoefficientSequence(0, (0.3, 0.2)), CoefficientSequence(0, (0.001,) * 10)
+    other = WeightSampler(CoefficientSequence(0, (0.1,)))
+    calls = [lambda: hy_ratio(seq, e, quad, sampler=other),
+             lambda: theorem1_margin(seq, e, quad, sampler=other),
+             lambda: theorem2_margin(spread, e, CC, quad, sampler=other),
+             lambda: proof_ledger(seq, e, CC, quad, sampler=other)]
+    for call in calls:
+        with pytest.raises(ValueError, match="another sequence"):
+            call()
+    assert other.trace_grids is None and not other._b_abs
+    own = WeightSampler(CoefficientSequence(0, (0.3, 0.2)))  # equal, not the same object
+    assert hy_ratio(seq, e, quad, sampler=own).ratio == hy_ratio(seq, e, quad).ratio
+
+
+def _refine_calls(monkeypatch) -> list:
+    """The level functions of every ``_refine`` call from here on."""
+    calls = []
+    refine = spectral_norms._refine
+
+    def spy(level, *args):
+        calls.append(level)
+        return refine(level, *args)
+
+    monkeypatch.setattr(spectral_norms, "_refine", spy)
+    return calls
+
+
+def test_sampler_refines_each_function_once_at_all_its_exponents(quad, monkeypatch):
+    """A sampler built with the suite's exponents refines the weight, |b|
+    and the ledger block once each, at all of them; the ledger's weight
+    norm is the margin's.  One exponent more costs one refinement more."""
+    calls = _refine_calls(monkeypatch)
+    seq = random_sequence_draw(np.random.default_rng(3), l1_target=0.3)
+    sampler = WeightSampler(seq, THEOREM1_PS)
+    for p in THEOREM1_PS:
+        margin = theorem1_margin(seq, ExponentPair(p), quad, sampler=sampler)
+        led = _by_id(proof_ledger(seq, ExponentPair(p), CC, quad, sampler=sampler))
+        assert led["L7"].lhs == margin.lhs.value
+    assert len(calls) == 3
+    hy_ratio(seq, ExponentPair(2.0), quad, sampler=sampler)
+    assert len(calls) == 4
 
 
 def _per_row_lq(level, q, cfg, span):
@@ -331,7 +379,7 @@ def test_ledger_rows_match_a_per_row_refinement(quad, monkeypatch):
     cases.append((condition9_draw(rng, 1.5, PLACEHOLDER_CC), 1.5))
     block = [_nan_safe(proof_ledger(seq, ExponentPair(p), PLACEHOLDER_CC, quad))
              for seq, p in cases]
-    monkeypatch.setattr(inequality_harness, "lq_norm_periodic", _per_row_lq)
+    monkeypatch.setattr(spectral_norms, "lq_norm_periodic", _per_row_lq)
     oracle = [_nan_safe(proof_ledger(seq, ExponentPair(p), PLACEHOLDER_CC, quad))
               for seq, p in cases]
     assert block == oracle
@@ -434,6 +482,16 @@ def test_alias_floor_above_max_grid_is_unconverged():
     rep = hy_ratio(ALIAS_PAIR, ExponentPair(1.5), QuadratureConfig(max_grid=1024))
     assert not rep.lhs.converged
     assert rep.lhs.grid_used == 1024 and rep.lhs.history == ()
+
+
+@pytest.mark.parametrize("with_ledger, per_draw", [(True, 3), (False, 1)])
+def test_theorem1_suite_refines_three_times_per_draw(monkeypatch, with_ledger, per_draw):
+    """One refinement per sampled function and draw serves all five
+    exponents: the weight, and with the ledger |b| and the row block."""
+    calls = _refine_calls(monkeypatch)
+    rep = theorem1_suite(n_draws=6, seed=4, with_ledger=with_ledger)
+    draws = rep.n_checked // len(THEOREM1_PS)
+    assert draws >= 5 and len(calls) == per_draw * draws
 
 
 def test_theorem1_suite_echoes_its_ledger_triple():

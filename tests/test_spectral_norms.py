@@ -19,8 +19,9 @@ from su11 import (
 )
 from su11 import spectral_norms
 from su11.nft_core import product_on_grid_arrays
+from su11.inequality_harness import _TraceGrids
 from su11.spectral_norms import _first_grid, _refine
-from su11.verification import parseval_suite
+from su11.verification import THEOREM1_PS, parseval_suite
 
 from conftest import random_sequence_draw, sequence_of_width
 
@@ -411,6 +412,54 @@ def test_block_powers_taken_a_few_rows_at_a_time_keep_the_bits(monkeypatch, chun
     monkeypatch.setattr(spectral_norms, "_STAT_CHUNK", chunk)
     block = lq_norm_periodic(_block_level(builders), 3.0, cfg, 7)
     assert all(_same_bits(block, r, one) for r, one in enumerate(ones))
+
+
+def _same_result(got, want):
+    """Two NormResults with the same bits in every field, history too."""
+    fields = ("value", "grid_used", "est_rel_error")
+    return (all(type(getattr(got, f)) is type(getattr(want, f))
+                and np.asarray(getattr(got, f)).tobytes() == np.asarray(getattr(want, f)).tobytes()
+                for f in fields)
+            and got.converged == want.converged and repr(got.history) == repr(want.history))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4),
+       st.lists(st.sampled_from((1.0, 2.0, 2.111111111111111, 3.0, 11.0, math.inf)),
+                min_size=1, max_size=5, unique=True),
+       st.sampled_from((2**9, 2**12, 2**16)), st.sampled_from((None, 1, 512)))
+@settings(max_examples=40, deadline=None)
+def test_multi_q_equals_each_single_q_refinement(seed, width, qs, max_grid, chunk):
+    """Each q of a multi-q ``lq_norm_periodic`` gets the NormResult of its
+    own refinement, bit for bit: one row, and a block with an all-zero row
+    and a row that never converges, at q = inf too, with a small
+    ``max_grid`` and with ``_STAT_CHUNK`` patched to a row or two (1 and
+    512 samples)."""
+    rng = np.random.default_rng(seed)
+    cfg = QuadratureConfig(initial_grid=16, max_grid=max_grid, rel_tol=1e-10)
+    builders = [WeightSampler(random_sequence_draw(rng, max_window=8)).on_grid
+                for _ in range(width)]
+    builders += [lambda M: np.zeros(M), lambda M: np.full(M, 1.0 / M)]
+    rng.shuffle(builders)
+    with pytest.MonkeyPatch.context() as m:
+        if chunk is not None:
+            m.setattr(spectral_norms, "_STAT_CHUNK", chunk)
+        for level in (builders[0], _block_level(builders)):
+            multi = lq_norm_periodic(level, tuple(qs), cfg, 7)
+            assert len(multi) == len(qs)
+            for q, got in zip(qs, multi):
+                assert _same_result(got, lq_norm_periodic(level, q, cfg, 7)), q
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_multi_q_ledger_block_equals_each_single_q_refinement(seed):
+    """The ledger's (2, rows) block at the five theorem1 exponents at once."""
+    seq = random_sequence_draw(np.random.default_rng(seed), l1_target=0.45)
+    level, span = _TraceGrids(seq).level, WeightSampler(seq).span
+    qs = tuple(ExponentPair(p).q for p in THEOREM1_PS)
+    multi = lq_norm_periodic(level, qs, QuadratureConfig(), span)
+    assert multi[0].value.shape == level(16).shape[:-1]
+    for q, got in zip(qs, multi):
+        assert _same_result(got, lq_norm_periodic(level, q, QuadratureConfig(), span))
 
 
 def test_block_refine_keeps_the_leading_shape():
