@@ -21,7 +21,6 @@ from .spectral_norms import (
     frequency_support,
     lp_sequence_norm,
     lq_norm_periodic,
-    nl_weight_sequence,
     parseval_residual,
 )
 from .inequality_harness import (

@@ -26,7 +26,6 @@ from .nft_core import (
     linear_fourier_on_grid,
     product_on_grid_arrays,
     _grid_phases,
-    _log_a_sq,
 )
 from .spectral_norms import (
     ExponentPair,
@@ -36,7 +35,6 @@ from .spectral_norms import (
     _TINY,
     _refined_level,
     lp_sequence_norm,
-    nl_weight_sequence,
 )
 
 # Relative margin below which a check is declared violated (binary64 path).
@@ -219,11 +217,6 @@ def _sampler_for(seq: CoefficientSequence, sampler: WeightSampler | None,
     return sampler
 
 
-def weight_rhs(seq: CoefficientSequence, p: float) -> float:
-    """Sequence side of the nonlinear inequality: lp norm of the weights."""
-    return lp_sequence_norm(nl_weight_sequence(seq), p)
-
-
 # ---------------------------------------------------------------------------
 # core reports
 
@@ -242,7 +235,7 @@ def hy_ratio(
     _require_nonzero(seq)
     sampler = _sampler_for(seq, sampler, exponents)
     lhs = sampler.norm(sampler.on_grid, exponents.q, cfg)
-    rhs = weight_rhs(seq, exponents.p)
+    rhs = lp_sequence_norm(sampler.weights, exponents.p)
     return HyReport(
         exponents=exponents,
         lhs=lhs,
@@ -263,7 +256,8 @@ def theorem1_margin(
     Also reports the margin against the uniform-in-p corollary constant 5/2.
     """
     _require_nonzero(seq)
-    l1 = _l1(seq)
+    sampler = _sampler_for(seq, sampler, exponents)
+    l1 = float(np.sum(sampler.mods))
     if l1 > 0.5:
         raise PreconditionFailed(f"l1 norm {l1!r} exceeds 1/2")
     base = hy_ratio(seq, exponents, cfg, sampler=sampler)
@@ -480,14 +474,12 @@ def proof_ledger(
         raise ValueError(f"t_samples must be >= 1, got {t_samples!r}")
     _require_nonzero(seq)
     p, q = exponents.p, exponents.q
-    mods = seq.moduli()
+    sampler = _sampler_for(seq, sampler, exponents)
+    mods = sampler.mods
     l1 = float(np.sum(mods))
     lp_f = lp_sequence_norm(mods, p)
-    weights = nl_weight_sequence(seq)
-    lp_w = lp_sequence_norm(weights, p)
-    log_prod_a = 0.5 * float(sum(_log_a_sq(m) for m in mods))
-    prod_a = math.exp(log_prod_a)
-    sampler = _sampler_for(seq, sampler, exponents)
+    lp_w = lp_sequence_norm(sampler.weights, p)
+    prod_a = math.exp(0.5 * float(sum(sampler.log_a_sq)))
     if sampler.trace_grids is None:
         sampler.trace_grids = _TraceGrids(seq)
     grids = sampler.trace_grids

@@ -97,7 +97,8 @@ class CoefficientSequence:
         s = self.support()
         if s is None:
             return []
-        return [(n, self[n]) for n in range(s[0], s[1] + 1)]
+        lo, hi = s[0] - self.offset, s[1] - self.offset
+        return list(enumerate(self.values[lo:hi + 1], start=s[0]))
 
     def moduli(self) -> np.ndarray:
         """|F_n| over the trimmed window (empty array for the zero sequence)."""

@@ -9,6 +9,7 @@ the q-th power is still differentiable and refinement remains fast.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -66,8 +67,10 @@ class NormResult:
     ``grid_used`` is the coarsest grid whose doubling moved the value by at
     most rel_tol (the value itself comes from the doubled grid); ``history``
     keeps one (grid, value, est) triple per refinement step.  For a block
-    (see ``_refine``) the fields are arrays, ``converged`` holds if every row
-    converged, and a step holds the values and ests of its open rows.
+    the fields are arrays, ``converged`` holds if every row converged, and a
+    step holds the values and ests of its open rows.  ``_refine`` returns
+    one over all its cells, columns last, whose steps also list their open
+    cells; ``_columns`` splits it into one per column.
     """
 
     value: float
@@ -128,13 +131,19 @@ class WeightSampler:
 
     The norms are shared too (``norm``): the sampler is built with the
     exponents ``ps`` it serves, and the first norm asked of a level
-    function refines it at all of them in one refinement.
+    function refines it at all of them in one refinement.  So are the
+    sequence side's scalars: the window moduli ``mods`` (|F_n|), their
+    ``log_a_sq`` (log A_n^2) and the weights W_n = (log A_n^2)^(1/2), which
+    always dominate |F_n| entrywise.
     """
 
     def __init__(self, seq: CoefficientSequence, ps: tuple[float, ...] = ()):
         self.seq = seq
         support = seq.support()
         self.span = 0 if support is None else support[1] - support[0]
+        self.mods = seq.moduli()
+        self.log_a_sq = [_log_a_sq(m) for m in self.mods]
+        self.weights = np.sqrt(self.log_a_sq)
         self.qs = tuple(ExponentPair(p).q for p in ps)
         self._b_abs: dict[int, np.ndarray] = {}
         self._logsq: dict[int, np.ndarray] = {}
@@ -146,17 +155,15 @@ class WeightSampler:
         """``lq_norm_periodic(level, q, cfg, span)`` of one of this sampler's
         level functions (``on_grid``, ``b_abs_on_grid`` or
         ``trace_grids.level``), memoized per function, ``q`` and ``cfg``.  A
-        miss refines ``q`` together with every exponent of the sampler not
-        yet memoized for that function, each with the bits it gets alone."""
+        miss refines the tuple of ``q`` and every exponent of the sampler
+        not yet memoized for that function, one column each, so each gets
+        the bits of its own refinement."""
         # keyed by the plain function: a bound method would tie the sampler
         # into a reference cycle and hold its levels until a collection
         memo = self._norms.setdefault((level.__func__, cfg), {})
         if q not in memo:
             qs = (q,) + tuple(x for x in self.qs if x != q and x not in memo)
-            if len(qs) == 1:  # the one-value path of _refine
-                memo[q] = lq_norm_periodic(level, q, cfg, self.span)
-            else:
-                memo.update(zip(qs, lq_norm_periodic(level, qs, cfg, self.span)))
+            memo.update(zip(qs, lq_norm_periodic(level, qs, cfg, self.span)))
         return memo[q]
 
     def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
@@ -191,179 +198,142 @@ def _first_grid(cfg: QuadratureConfig, span: int) -> int:
     return min(max(cfg.initial_grid, 1 << (2 * span + 1).bit_length()), cfg.max_grid)
 
 
-def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int = 0) -> NormResult:
+def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) -> NormResult:
     """Double the grid until two successive statistics agree to rel_tol,
-    row by row, from the first level ``_first_grid(cfg, span)``.
+    cell by cell, from the first level ``_first_grid(cfg, span)``.
 
     ``level(M)`` returns the samples at t = j / M, of shape (..., M): one
     row or a block, whole at every level, with the first level's leading
     shape; anything else raises TypeError, so a function of t passed by
-    mistake fails instead of yielding a wrong norm.  ``statistic(block)``
-    maps (rows, M) to one float per row, each independent of the others.
-    With ``columns = K`` a row holds K cells (one per exponent, say), and
-    ``statistic(block, cols)`` maps (rows, M) to the (rows, len(cols))
-    values of the columns ``cols``, those still open in some row.
+    mistake fails instead of yielding a wrong norm.  A row holds ``columns``
+    cells (one per exponent, say), and ``statistic(block, cols)`` maps
+    (rows, M) to the (rows, len(cols)) values of the columns ``cols``, as
+    one row-major list of Python floats, each independent of the other rows
+    and columns.
 
-    Each cell freezes at its own first converged level; a row is reduced
-    while any of its cells is open, ``_STAT_CHUNK`` samples (or one row)
-    per call, and a level whose rows are all open and fit one chunk goes
-    uncopied.  One row returns floats, a block arrays over its leading
-    shape (with ``K`` last; ``converged`` if every cell did), each cell
-    with the bits it gets alone.  A step of a ``K``-column history also
-    lists its open cells, ``row * K + k``.  This is the only refinement
-    loop: every torus norm runs through it.
+    One loop runs over the open cells ``row * columns + k``.  Each cell
+    freezes at its own first converged level, with the bits it gets alone;
+    a level reduces the rows with an open cell over the columns open in
+    some row, ``_STAT_CHUNK`` samples (or one row) per call, and a level
+    whose rows are all open and fit one chunk goes uncopied.  The fields are
+    lists over the columns for one row, and for a block arrays of its
+    leading shape with the columns last (``converged`` if every cell did); a
+    step of the history is (grid, values, ests, cells) over its open cells.
+    ``_columns`` splits out each column's NormResult.  Every torus norm runs
+    through this loop.
     """
 
-    def reduce(samples, grid: int, rows: list) -> np.ndarray:
+    def reduce(samples, grid: int, rows: list, cols: list) -> list:
         if not isinstance(samples, np.ndarray) or samples.shape != shape + (grid,):
             raise TypeError(f"level({grid}) must return an array of shape {shape + (grid,)}")
         block = samples.reshape(-1, grid)
         chunk = max(1, _STAT_CHUNK // grid)
         if len(rows) == len(block) <= chunk:
-            return statistic(block)
-        return np.concatenate([statistic(block[rows[i:i + chunk]])
-                               for i in range(0, len(rows), chunk)])
+            return statistic(block, cols)
+        return [x for i in range(0, len(rows), chunk)
+                for x in statistic(block[rows[i:i + chunk]], cols)]
 
     grid = _first_grid(cfg, span)
     first = level(grid)
-    shape = np.shape(first)[:-1]
-    rows = list(range(math.prod(shape)))
-    K = columns or 1
-    if columns:
-        of_columns, cols = statistic, list(range(K))
-        # reduce's statistic: the columns ``cols`` as each level rebinds them
-        statistic = lambda block: of_columns(block, cols)  # noqa: E731
-    # Python floats per cell (row * K + k): a numpy call per field and level
-    # costs more; ``cells`` are the open ones
-    first = reduce(first, grid, rows)
-    value = first.ravel().tolist() if columns else first.tolist()
-    cells = list(range(len(value))) if columns else rows
+    shape = first.shape[:-1] if isinstance(first, np.ndarray) else ()
+    K = columns
+    # Python floats per cell: a numpy call per field and level costs more.
+    # ``cells`` are the open ones in order, ``rows`` and ``cols`` the rows and
+    # columns they span
+    rows, cols = list(range(math.prod(shape))), list(range(K))
+    value = reduce(first, grid, rows, cols)
+    cells = list(range(len(value)))
     grid_used, est = [grid] * len(value), [math.inf] * len(value)
     history = []
     while cells and 2 * grid <= cfg.max_grid:
-        if columns:
-            rows = list(dict.fromkeys(c // K for c in cells))
-            cols = sorted({c % K for c in cells})
-            at_row = {r: i * len(cols) for i, r in enumerate(rows)}
-            at_col = {k: j for j, k in enumerate(cols)}
-            nxt = reduce(level(2 * grid), 2 * grid, rows).ravel().tolist()
-            nxt = [nxt[at_row[c // K] + at_col[c % K]] for c in cells]
-        else:
-            nxt = reduce(level(2 * grid), 2 * grid, cells).tolist()
+        nxt = reduce(level(2 * grid), 2 * grid, rows, cols)
+        if len(nxt) > len(cells):  # the rows x cols values hold closed cells too
+            at = {r * K + k: i for i, (r, k) in enumerate(itertools.product(rows, cols))}
+            nxt = [nxt[at[c]] for c in cells]
         step = [abs(x - value[c]) / max(abs(x), _TINY) for c, x in zip(cells, nxt)]
-        history.append((grid, nxt, step, cells) if columns else (grid, nxt, step))
+        history.append((grid, nxt, step, cells))
         for c, x, e in zip(cells, nxt, step):
             value[c], est[c], grid_used[c] = x, e, grid if e <= cfg.rel_tol else 2 * grid
         grid *= 2
-        cells = [c for c, e in zip(cells, step) if not e <= cfg.rel_tol]
-    converged = not cells
-    if columns:
+        still = [c for c, e in zip(cells, step) if not e <= cfg.rel_tol]
+        if len(still) < len(cells):
+            rows, cols = sorted({c // K for c in still}), sorted({c % K for c in still})
+        cells = still
+    if shape:  # a block: arrays of its leading shape, the columns last
         shape += (K,)
-    if not shape:
-        return NormResult(value[0], grid_used[0], est[0], converged,
-                          tuple((g, v[0], e[0]) for g, v, e in history))
-    return NormResult(np.reshape(value, shape), np.reshape(grid_used, shape),
-                      np.reshape(est, shape), converged, tuple(history))
+        value, grid_used, est = (np.array(f).reshape(shape) for f in (value, grid_used, est))
+    return NormResult(value, grid_used, est, not cells, tuple(history))
 
 
 def _columns(res: NormResult) -> tuple[NormResult, ...]:
     """The columns of a ``K``-column refinement (see ``_refine``), each as
     the NormResult its statistic's column gets refined alone: the same
     fields, and the history of the levels at which its cells were open."""
-    K = res.value.shape[-1]
-    histories = [[] for _ in range(K)]
-    for g, nxt, step, cells in res.history:
-        split = [([], []) for _ in range(K)]
-        for c, x, e in zip(cells, nxt, step):
-            xs, es = split[c % K]
-            xs.append(x)
-            es.append(e)
-        for history, (xs, es) in zip(histories, split):
-            if xs:
-                history.append((g, xs, es))
+    values, grids, ests = res.value, res.grid_used, res.est_rel_error
+    one_row = isinstance(values, list)  # floats, and a float per step
+    K = len(values) if one_row else values.shape[-1]
     # a cell still open at the end reports the finest level sampled
     top = 2 * res.history[-1][0] if res.history else 0
-    if res.value.ndim == 1:  # one row: floats, as _refine gives them
-        return tuple(NormResult(v, g, e, g < top, tuple((s, x[0], y[0]) for s, x, y in h))
-                     for v, g, e, h in zip(res.value.tolist(), res.grid_used.tolist(),
-                                           res.est_rel_error.tolist(), histories))
-    return tuple(NormResult(res.value[..., k], res.grid_used[..., k], res.est_rel_error[..., k],
-                            bool(np.all(res.grid_used[..., k] < top)), tuple(h))
-                 for k, h in enumerate(histories))
+    out = []
+    for k in range(K):
+        history = []
+        for g, nxt, step, cells in res.history:
+            at = [i for i, c in enumerate(cells) if c % K == k]
+            if at:
+                xs, es = [nxt[i] for i in at], [step[i] for i in at]
+                history.append((g, xs[0], es[0]) if one_row else (g, xs, es))
+        col = k if one_row else (..., k)
+        converged = grids[col] < top if one_row else bool((grids[col] < top).all())
+        out.append(NormResult(values[col], grids[col], ests[col], converged, tuple(history)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def nl_weight_sequence(seq: CoefficientSequence) -> np.ndarray:
-    """W_n = (log A_n^2)^(1/2) = (-log(1 - |F_n|^2))^(1/2) over the window.
-
-    Always dominates |F_n| entrywise.
-    """
-    return np.sqrt([_log_a_sq(m) for m in seq.moduli()])
-
-
+@np.errstate(divide="ignore")  # exp(q log 0) = exp(-inf) = 0
 def lq_norm_periodic(level, q, cfg: QuadratureConfig, span: int):
     """(integral of f^q over one period)^(1/q) by refining trapezoid sums.
 
     ``f`` is a nonnegative periodic function on [0, 1), or a block of them,
     given by its grid levels ``level(M)`` as ``WeightSampler.on_grid`` gives
-    them (see ``_refine``).  A row's mean of ``exp(q log f)`` is raised to
-    ``1 / q`` in Python floats, so it gets the bits it gets alone.  ``q =
-    inf`` uses the sampled maximum, with one refinement doubling as the
-    error estimate.
-
-    ``q`` may be a tuple of exponents: one refinement then serves them all,
-    with one ``log`` per chunk of samples, and a tuple of NormResults comes
-    back, one per ``q``, each bit for bit the NormResult of its own
-    refinement (every (row, q) cell freezes on its own, see ``_refine``).
+    them (see ``_refine``).  ``q`` is one exponent or a tuple of them, each
+    a column of one refinement, so a tuple of NormResults comes back, one
+    per ``q``; a single ``q`` gives its NormResult alone (floats for one
+    row, arrays for a block).  Per chunk of samples the statistic takes one
+    ``log``, then per ``q`` a multiply, ``exp`` and mean, and raises a row's
+    mean to ``1 / q`` in Python floats; ``q = inf`` uses the sampled
+    maximum, with one refinement doubling as the error estimate.  Every
+    (row, q) cell freezes on its own, so each ``q`` gets the bits of its own
+    refinement.
     """
-    if not isinstance(q, tuple):
-        if q != math.inf and q < 1.0:
-            raise ValueError(f"q = {q!r} must be >= 1")
-        if q == math.inf:
-            return _refine(level, lambda block: np.max(block, axis=-1), cfg, span)
-
-        def stat(block: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore"):  # exp(q log 0) = exp(-inf) = 0
-                powers = np.log(block)
-            powers *= q
-            # the sum over the count: np.mean's bits without its slow wrapper
-            means = (np.add.reduce(np.exp(powers, out=powers), axis=-1) / block.shape[-1]).tolist()
-            return np.array([m ** (1.0 / q) if m > 0 else 0.0 for m in means])
-
-        return _refine(level, stat, cfg, span)
-
-    qs = q
+    qs = q if isinstance(q, tuple) else (q,)
+    if not qs:
+        raise ValueError("q = () names no exponent")
     for x in qs:
         if x != math.inf and x < 1.0:
             raise ValueError(f"q = {x!r} must be >= 1")
 
-    def stat_columns(block: np.ndarray, cols: list) -> np.ndarray:
-        """The columns ``cols`` of (rows, K): each q's steps above, element
-        for element, after one ``log`` shared by all, a few q per pass."""
-        out = [None] * len(cols)
-        finite = []
+    def stat(block: np.ndarray, cols: list) -> list:
+        out, logs = [None] * (len(block) * len(cols)), None
         for j, k in enumerate(cols):
-            if qs[k] == math.inf:
-                out[j] = np.max(block, axis=-1).tolist()
-            else:
-                finite.append(j)
-        if finite:
-            with np.errstate(divide="ignore"):
+            x = qs[k]
+            if x == math.inf:
+                out[j::len(cols)] = np.max(block, axis=-1).tolist()
+                continue
+            if logs is None:  # one log for every q
                 logs = np.log(block)
-            per_pass = max(1, _STAT_CHUNK // block.size)
-            for i in range(0, len(finite), per_pass):
-                js = finite[i:i + per_pass]
-                powers = logs[:, None, :] * np.array([qs[cols[j]] for j in js])[:, None]
-                means = np.add.reduce(np.exp(powers, out=powers), axis=-1) / block.shape[-1]
-                for j, col in zip(js, means.T.tolist()):
-                    x = qs[cols[j]]
-                    out[j] = [m ** (1.0 / x) if m > 0 else 0.0 for m in col]
-        return np.array(out).T
+            powers = logs * x
+            # the sum over the count, divided in Python floats (IEEE, so
+            # np.mean's bits) without np.mean's slow wrapper
+            sums = np.add.reduce(np.exp(powers, out=powers), axis=-1).tolist()
+            out[j::len(cols)] = [(s / block.shape[-1]) ** (1.0 / x) if s > 0 else 0.0
+                                 for s in sums]
+        return out
 
-    return _columns(_refine(level, stat_columns, cfg, span, len(qs)))
+    norms = _columns(_refine(level, stat, cfg, span, len(qs)))
+    return norms if isinstance(q, tuple) else norms[0]
 
 
 def lp_sequence_norm(w, p: float) -> float:
@@ -395,9 +365,10 @@ def parseval_residual(
     below 1e-9 for well-resolved inputs.
     """
     sampler = WeightSampler(seq)
-    integral = _refine(sampler.logsq_on_grid, lambda b: np.add.reduce(b, axis=-1) / b.shape[-1],
-                       cfg, sampler.span)  # np.mean's bits, see lq_norm_periodic
-    seq_side = float(sum(_log_a_sq(m) for m in seq.moduli()))
+    integral = _columns(_refine(sampler.logsq_on_grid,  # np.mean's bits, see lq_norm_periodic
+                                lambda b, cols: (np.add.reduce(b, axis=-1) / b.shape[-1]).tolist(),
+                                cfg, sampler.span, 1))[0]
+    seq_side = float(sum(sampler.log_a_sq))
     return integral.value - seq_side, integral
 
 

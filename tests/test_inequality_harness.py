@@ -353,8 +353,11 @@ def test_sampler_refines_each_function_once_at_all_its_exponents(quad, monkeypat
 
 
 def _per_row_lq(level, q, cfg, span):
-    """``lq_norm_periodic`` of a block, one row at a time: the oracle of
-    the ledger's block refinement."""
+    """``lq_norm_periodic`` of a block, one row and one ``q`` at a time: the
+    oracle of the ledger's block refinement (a tuple of ``q`` gives a tuple
+    of results)."""
+    if isinstance(q, tuple):
+        return tuple(_per_row_lq(level, x, cfg, span) for x in q)
     first = level(_first_grid(cfg, span))
     if first.ndim == 1:
         return lq_norm_periodic(level, q, cfg, span)

@@ -9,18 +9,18 @@ from su11 import (
     AliasRiskError,
     CoefficientSequence,
     ExponentPair,
+    NormResult,
     QuadratureConfig,
     WeightSampler,
     frequency_support,
     lp_sequence_norm,
     lq_norm_periodic,
-    nl_weight_sequence,
     parseval_residual,
 )
 from su11 import spectral_norms
 from su11.nft_core import product_on_grid_arrays
 from su11.inequality_harness import _TraceGrids
-from su11.spectral_norms import _first_grid, _refine
+from su11.spectral_norms import _TINY, _first_grid, _refine
 from su11.verification import THEOREM1_PS, parseval_suite
 
 from conftest import random_sequence_draw, sequence_of_width
@@ -72,7 +72,7 @@ def test_exponent_pair_holder_scaling(p):
 def test_weight_sequence_values():
     # interior zeros keep a zero weight; padding zeros fall off the window
     seq = CoefficientSequence(0, (0.5, 0j, 0.3, 0j))
-    w = nl_weight_sequence(seq)
+    w = WeightSampler(seq).weights
     assert len(w) == 3
     assert w[0] == pytest.approx(math.sqrt(math.log(4 / 3)), rel=1e-14)
     assert w[0] == pytest.approx(0.5363601, abs=1e-7)
@@ -85,7 +85,7 @@ def test_weight_sequence_values():
 def test_weight_dominates_modulus(seed):
     rng = np.random.default_rng(seed)
     seq = random_sequence_draw(rng)
-    w = nl_weight_sequence(seq)
+    w = WeightSampler(seq).weights
     assert np.all(w >= seq.moduli())
 
 
@@ -158,6 +158,13 @@ def test_lq_no_convergence_flag():
     assert res.grid_used == 8
 
 
+@pytest.mark.parametrize("level", [lambda M: np.full(M, 0.7), lambda M: np.zeros((0, M))])
+def test_lq_empty_tuple_of_exponents_raises_value_error(level, quad):
+    """No exponent is an error naming ``q``, not a refinement of no cells."""
+    with pytest.raises(ValueError, match="q"):
+        lq_norm_periodic(level, (), quad, 0)
+
+
 def test_trapezoid_kills_pure_exponentials():
     """Uniform trapezoid sums of e^{2 pi i k t} vanish for 0 < |k| < M."""
     M = 64
@@ -200,7 +207,7 @@ def test_lp_nesting_monotone(seed):
     """p -> lp norm is nonincreasing on finitely supported sequences."""
     rng = np.random.default_rng(seed)
     seq = random_sequence_draw(rng)
-    w = nl_weight_sequence(seq)
+    w = WeightSampler(seq).weights
     ps = (1.0, 1.25, 1.5, 1.75, 2.0)
     norms = [lp_sequence_norm(w, p) for p in ps]
     for lo, hi in zip(norms[1:], norms[:-1]):
@@ -357,6 +364,55 @@ def test_sampler_evaluates_only_new_odd_points(monkeypatch):
 # block refinement
 
 
+def _doubling_row(level, q, cfg, span):
+    """One row refined by a plain doubling loop from ``_first_grid``: the
+    value, grid, estimate, convergence and (grid, value, est) steps."""
+
+    def stat(row):
+        if q == math.inf:
+            return float(np.max(row))
+        with np.errstate(divide="ignore"):
+            powers = np.log(row)
+        powers *= q
+        mean = float(np.add.reduce(np.exp(powers, out=powers)) / row.size)
+        return mean ** (1.0 / q) if mean > 0 else 0.0
+
+    grid = _first_grid(cfg, span)
+    value, grid_used, est, steps = stat(level(grid)), grid, math.inf, []
+    while 2 * grid <= cfg.max_grid:
+        x = stat(level(2 * grid))
+        est = abs(x - value) / max(abs(x), _TINY)
+        value = x
+        steps.append((grid, x, est))
+        if est <= cfg.rel_tol:
+            return value, grid, est, True, steps
+        grid *= 2
+        grid_used = grid
+    return value, grid_used, est, False, steps
+
+
+def _doubling_lq(level, q, cfg, span):
+    """The oracle of the refinement flow: every row of ``level`` refined
+    alone by ``_doubling_row``, as the NormResult ``lq_norm_periodic`` gives
+    one ``q`` (floats for one row; for a block, arrays and one step per
+    level with the values and ests of the rows open there)."""
+    first = level(_first_grid(cfg, span))
+    if first.ndim == 1:
+        value, grid_used, est, converged, steps = _doubling_row(level, q, cfg, span)
+        return NormResult(value, grid_used, est, converged, tuple(steps))
+    shape = first.shape[:-1]
+    rows = [_doubling_row(lambda M, i=i: level(M).reshape(-1, M)[i], q, cfg, span)
+            for i in range(math.prod(shape))]
+    levels = sorted({g for row in rows for g, _, _ in row[4]})
+    history = tuple((g, [x for row in rows for h, x, _ in row[4] if h == g],
+                     [e for row in rows for h, _, e in row[4] if h == g]) for g in levels)
+
+    def field(j):
+        return np.array([row[j] for row in rows]).reshape(shape)
+
+    return NormResult(field(0), field(1), field(2), all(row[3] for row in rows), history)
+
+
 def _block_level(builders):
     """A grid-level function over a block of rows, one ``builders[i](M)``
     per row."""
@@ -380,7 +436,8 @@ def test_block_refine_rows_equal_one_row_refinements(seed, width, q, max_grid):
     and convergence of its own one-row refinement, bit for bit: rows that
     converge at different levels, an all-zero row, a rough row, a row that
     never converges (its level halves with every doubling), a block with no
-    rows, at q = inf too."""
+    rows, at q = inf too: the block's NormResult is the per-row oracle's,
+    history included."""
     rng = np.random.default_rng(seed)
     cfg = QuadratureConfig(initial_grid=16, max_grid=max_grid, rel_tol=1e-10)
     builders = [WeightSampler(random_sequence_draw(rng, max_window=8)).on_grid
@@ -390,9 +447,8 @@ def test_block_refine_rows_equal_one_row_refinements(seed, width, q, max_grid):
                  lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3]
     rng.shuffle(builders)
     block = lq_norm_periodic(_block_level(builders), q, cfg, 7)
-    ones = [lq_norm_periodic(build, q, cfg, 7) for build in builders]
     assert block.value.shape == (len(builders),)
-    assert all(_same_bits(block, r, one) for r, one in enumerate(ones))
+    assert _same_result(block, _doubling_lq(_block_level(builders), q, cfg, 7))
     assert not block.converged
     assert block.grid_used[builders.index(drifting)] == max_grid
     empty = lq_norm_periodic(lambda M: np.zeros((0, M)), q, cfg, 0)
@@ -430,10 +486,10 @@ def _same_result(got, want):
 @settings(max_examples=40, deadline=None)
 def test_multi_q_equals_each_single_q_refinement(seed, width, qs, max_grid, chunk):
     """Each q of a multi-q ``lq_norm_periodic`` gets the NormResult of its
-    own refinement, bit for bit: one row, and a block with an all-zero row
-    and a row that never converges, at q = inf too, with a small
-    ``max_grid`` and with ``_STAT_CHUNK`` patched to a row or two (1 and
-    512 samples)."""
+    own refinement by the per-row oracle, bit for bit: one row, and a block
+    with an all-zero row and a row that never converges, at q = inf too,
+    with a small ``max_grid`` and with ``_STAT_CHUNK`` patched to a row or
+    two (1 and 512 samples)."""
     rng = np.random.default_rng(seed)
     cfg = QuadratureConfig(initial_grid=16, max_grid=max_grid, rel_tol=1e-10)
     builders = [WeightSampler(random_sequence_draw(rng, max_window=8)).on_grid
@@ -447,19 +503,20 @@ def test_multi_q_equals_each_single_q_refinement(seed, width, qs, max_grid, chun
             multi = lq_norm_periodic(level, tuple(qs), cfg, 7)
             assert len(multi) == len(qs)
             for q, got in zip(qs, multi):
-                assert _same_result(got, lq_norm_periodic(level, q, cfg, 7)), q
+                assert _same_result(got, _doubling_lq(level, q, cfg, 7)), q
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_multi_q_ledger_block_equals_each_single_q_refinement(seed):
-    """The ledger's (2, rows) block at the five theorem1 exponents at once."""
+    """The ledger's (2, rows) block at the five theorem1 exponents at once,
+    against the per-row oracle."""
     seq = random_sequence_draw(np.random.default_rng(seed), l1_target=0.45)
     level, span = _TraceGrids(seq).level, WeightSampler(seq).span
     qs = tuple(ExponentPair(p).q for p in THEOREM1_PS)
     multi = lq_norm_periodic(level, qs, QuadratureConfig(), span)
     assert multi[0].value.shape == level(16).shape[:-1]
     for q, got in zip(qs, multi):
-        assert _same_result(got, lq_norm_periodic(level, q, QuadratureConfig(), span))
+        assert _same_result(got, _doubling_lq(level, q, QuadratureConfig(), span))
 
 
 def test_block_refine_keeps_the_leading_shape():
@@ -484,17 +541,18 @@ def test_block_statistic_sees_only_open_rows_after_level_two(monkeypatch):
     cfg = QuadratureConfig(initial_grid=4, max_grid=2**10, rel_tol=1e-12)
     seen = []
 
-    def statistic(block):
+    def statistic(block, cols):
         seen.append(block.shape)
-        return np.mean(block, axis=-1)
+        assert cols == [0]
+        return np.mean(block, axis=-1).tolist()
 
-    res = _refine(_block_level(rows), statistic, cfg, 0)
+    res = _refine(_block_level(rows), statistic, cfg, 0, 1)
     assert [n for n, _ in seen] == [2, 2] + [1] * (len(seen) - 2) and len(seen) == 9
-    assert res.grid_used.tolist() == [4, 2**10] and res.converged is False
+    assert res.grid_used.tolist() == [[4], [2**10]] and res.converged is False
 
     seen.clear()
     monkeypatch.setattr(spectral_norms, "_STAT_CHUNK", 6)
-    chunked = _refine(_block_level(rows), statistic, cfg, 0)
+    chunked = _refine(_block_level(rows), statistic, cfg, 0, 1)
     assert all(n <= max(1, 6 // M) for n, M in seen) and len(seen) > 9
     assert chunked.value.tobytes() == res.value.tobytes()
     assert chunked.grid_used.tolist() == res.grid_used.tolist()
