@@ -305,13 +305,17 @@ class ConditionCheck:
 
 
 def condition_check(
-    seq: CoefficientSequence, exponents: ExponentPair, cc: CCParameters
+    seq: CoefficientSequence,
+    exponents: ExponentPair,
+    cc: CCParameters,
+    sampler: WeightSampler | None = None,
 ) -> ConditionCheck:
     """Check whether the sequence is small and spread enough for the sharp
-    constant: single spikes always fail (the right-hand side vanishes)."""
+    constant: single spikes always fail (the right-hand side vanishes).
+    ``sampler`` (built for ``seq``, else ValueError) supplies the moduli."""
     _require_nonzero(seq)
     alpha, delta = alpha_delta(cc)
-    mods = seq.moduli()
+    mods = seq.moduli() if sampler is None else _sampler_for(seq, sampler, exponents).mods
     l1 = float(np.sum(mods))
     ratio = lp_sequence_norm(mods, math.inf) / lp_sequence_norm(mods, exponents.p)
     rhs = delta * (1.0 - ratio) ** alpha
@@ -329,7 +333,8 @@ def theorem2_margin(
     """Sharp-constant bound lhs <= rhs under the smallness-vs-spread
     condition, plus the refined margin against (1 - 9 l1^2) rhs."""
     _require_nonzero(seq)
-    cond = condition_check(seq, exponents, cc)
+    sampler = _sampler_for(seq, sampler, exponents)
+    cond = condition_check(seq, exponents, cc, sampler)
     if not cond.holds:
         raise PreconditionFailed(
             f"condition margin {cond.margin!r} < 0 ({cc.label()})"
@@ -610,7 +615,7 @@ def proof_ledger(
         )
 
     # L8 / L9 require the smallness-vs-spread condition
-    cond = condition_check(seq, exponents, cc)
+    cond = condition_check(seq, exponents, cc, sampler)
     if not cond.holds:
         reason = f"condition fails: margin={cond.margin!r} ({cc.label()})"
         out.append(_skipped("L8", reason))

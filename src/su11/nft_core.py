@@ -13,10 +13,13 @@ first row (a, b) is ever stored; the second row is its conjugate.
 All functions here are pure; the dataclasses are frozen and safe to share
 across threads.  Every binary64 product in the package, on a grid or at one
 t and in any factor order, runs through one factor step ``_step`` in one of
-two loops, with phase rows from ``_phases``.  ``_fold`` folds one sequence
-with scalar factors, so ``product_on_grid_arrays(F, ts)`` at ``ts[j]`` and
-at the single point ``ts[j:j + 1]`` agree bit for bit.  ``_fold_rows``
-folds several sequences at once, one factor column per entry; it steps
+two loops, with phase rows from ``_phases``.  Both loops take their
+coefficients (A_n, B_n) from one array kernel ``_factor``, whose every entry
+has the bits of the scalar formula.  ``_fold`` folds one sequence with
+scalar factors, so ``product_on_grid_arrays(F, ts)`` at ``ts[j]`` and at
+the single point ``ts[j:j + 1]`` agree bit for bit.  ``_fold_rows`` folds
+several sequences at once, one factor column per entry, on phases shared
+by every row or given per row (each sequence at its own ``t``); it steps
 every entry, a zero one as the exact identity factor, so each row matches
 its own ``_fold`` (which skips zeros) bit for bit up to the sign of a zero,
 and |a|, |b| exactly.
@@ -176,16 +179,18 @@ def _log_a_sq(mod: float) -> float:
     return -math.log((1.0 - mod) * (1.0 + mod))
 
 
-def _factor(v) -> tuple[float, complex]:
-    """(A_n, B_n) = ((1 - |F_n|^2)^(-1/2), F_n A_n) for one entry F_n = v.
+def _factor(v):
+    """(A_n, B_n) = ((1 - |F_n|^2)^(-1/2), F_n A_n) for an array of entries
+    F_n = v, entry by entry.
 
-    Batched callers still take every (A_n, B_n) from here, one scalar entry
-    at a time: numpy's complex ``abs`` over an array is not bit-identical to
-    the scalar ``abs`` (they differ in the last bit on about a third of
-    random entries), so a vectorised factor would change the fold.
+    |F_n| is ``np.hypot`` of the real and imaginary parts: that is C
+    ``hypot``, which the scalar complex ``abs`` calls too, so every entry
+    has the bits of the formula on its own scalar entry.  numpy's complex
+    ``np.abs`` would not (it differs in the last bit on about a third of
+    random entries), and the fold would change.
     """
-    m = abs(v)
-    A = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
+    m = np.hypot(v.real, v.imag)
+    A = 1.0 / np.sqrt((1.0 - m) * (1.0 + m))
     return A, v * A
 
 
@@ -234,34 +239,34 @@ def _fold(entries, phase, shape) -> tuple[np.ndarray, np.ndarray]:
 
     ``phase(n)`` returns the row e^{2 pi i n t} of the given shape; it is
     called once per nonzero entry, as the fold reaches it (zero entries are
-    identity factors).  ``(A_n, B_n)`` come from the scalar ``_factor``.
+    identity factors).  The ``(A_n, B_n)`` of the nonzero entries come from
+    one ``_factor`` call and step as Python scalars.
     """
+    entries = [(n, v) for n, v in entries if v != 0]
+    A, B = _factor(np.array([v for _, v in entries], dtype=complex))
     a = np.ones(shape, dtype=complex)
     b = np.zeros(shape, dtype=complex)
-    for n, v in entries:
-        if v == 0:
-            continue
-        A, B = _factor(v)
-        a, b = _step(a, b, A, B, phase(n))
+    for (n, _), An, Bn in zip(entries, A.tolist(), B.tolist()):
+        a, b = _step(a, b, An, Bn, phase(n))
     return a, b
 
 
 def _fold_rows(rows: np.ndarray, phase, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """``_fold`` of several sequences that share their indices, at once.
 
-    ``rows[r, k]`` is entry k of sequence r and ``phase(k)`` the row of its
-    phases on ``grid`` points; the result has shape ``(len(rows), grid)``.
-    Each ``(A_n, B_n)`` comes from the scalar ``_factor`` and the step is
-    ``_fold``'s elementwise arithmetic, so row r is
-    ``_fold(enumerate(rows[r]), phase, grid)`` bit for bit, up to the sign
-    of a zero: every entry takes its step, and a zero entry is the exact
-    identity factor ``_factor(0) = (1.0, 0j)``, whose step returns a and b
-    unchanged but for the sign of a zero part.  |a| and |b| are bit-identical.
+    ``rows[r, k]`` is entry k of sequence r and ``phase(k)`` its phases on
+    ``grid`` points: one row of shape ``(grid,)`` shared by every sequence,
+    or one row per sequence, shape ``(len(rows), grid)`` (each sequence at
+    its own points).  The result has shape ``(len(rows), grid)``.  All
+    ``(A_n, B_n)`` come from one ``_factor`` call over ``rows`` and the step
+    is ``_fold``'s elementwise arithmetic, so row r is
+    ``_fold(enumerate(rows[r]), phase, grid)`` (with row r of the phases)
+    bit for bit, up to the sign of a zero: every entry takes its step, and a
+    zero entry is the exact identity factor ``_factor(0) = (1.0, 0j)``,
+    whose step returns a and b unchanged but for the sign of a zero part.
+    |a| and |b| are bit-identical.
     """
-    A = np.empty(rows.shape)
-    B = np.empty(rows.shape, dtype=complex)
-    for (r, k), v in np.ndenumerate(rows):
-        A[r, k], B[r, k] = _factor(v)
+    A, B = _factor(rows)
     a = np.ones((len(rows), grid), dtype=complex)
     b = np.zeros((len(rows), grid), dtype=complex)
     for k in range(rows.shape[1]):

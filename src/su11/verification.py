@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFitError
-from .nft_core import CoefficientSequence, product_on_grid_arrays, _fold, _phases
+from .nft_core import (
+    CoefficientSequence, product_on_grid_arrays, _fold, _fold_rows, _phases,
+)
 from .spectral_norms import (
     ExponentPair,
     QuadratureConfig,
@@ -43,6 +45,9 @@ from .inequality_harness import (
 
 DEFAULT_SEED = 20260808
 THEOREM1_PS = (1.1, 1.3, 1.5, 1.7, 1.9)
+# draws per batch fold of the membership suite: bounds its memory under a
+# large ``--draws`` (rows of at most 12 entries, one point each)
+_MEMBERSHIP_CHUNK = 4096
 # No admissible (c, gamma, eta) is known explicitly: the theorem suites run
 # with this documented placeholder (theorem2_suite also takes another).
 PLACEHOLDER_CC = CCParameters(1.0, 1.0, 1.0)
@@ -147,21 +152,36 @@ def su11_membership_suite(
     n_draws: int = 500, seed: int = DEFAULT_SEED
 ) -> SuiteReport:
     """Group constraint and |a| >= 1 at random (F, t):
-    ||a|^2 - |b|^2 - 1| <= 1e-10 |a|^2 and |a| >= 1 - 1e-12."""
+    ||a|^2 - |b|^2 - 1| <= 1e-10 |a|^2 and |a| >= 1 - 1e-12.
+
+    The draws are folded ``_MEMBERSHIP_CHUNK`` at a time as one
+    ``_fold_rows`` batch, each row zero-padded onto the chunk's common index
+    window and phased at its own ``t``; |a| and |b| are those of its own
+    ``product_on_grid_arrays(F, [t])`` bit for bit.
+    """
     rng = np.random.default_rng(seed)
     rep = SuiteReport("su11-membership", seed)
-    for _ in range(n_draws):
-        seq = random_window_sequence(rng, 12, 0.9)
-        t = float(rng.uniform(0.0, 1.0))
-        a, b = product_on_grid_arrays(seq, np.array([t]))
-        asq = abs(complex(a[0])) ** 2
-        det_rel = abs(asq - abs(complex(b[0])) ** 2 - 1.0) / asq
-        mod_a = math.sqrt(asq)
-        rep.n_checked += 1
-        rep.record_worst("det_rel", det_rel, smaller_is_worse=False)
-        rep.record_worst("abs_a_min", mod_a)
-        if det_rel > 1e-10 or mod_a < 1.0 - 1e-12:
-            rep.fail(F=seq.to_json_dict(), t=t, det_rel=det_rel, abs_a=mod_a)
+    for start in range(0, n_draws, _MEMBERSHIP_CHUNK):
+        draws = []
+        for _ in range(min(_MEMBERSHIP_CHUNK, n_draws - start)):
+            seq = random_window_sequence(rng, 12, 0.9)
+            draws.append((seq, float(rng.uniform(0.0, 1.0))))
+        lo = min(seq.offset for seq, _ in draws)
+        width = max(seq.offset + len(seq.values) for seq, _ in draws) - lo
+        rows = np.zeros((len(draws), width), dtype=complex)
+        for r, (seq, _) in enumerate(draws):
+            rows[r, seq.offset - lo:seq.offset - lo + len(seq.values)] = seq.values
+        ts = np.array([[t] for _, t in draws])
+        a, b = _fold_rows(rows, lambda k: _phases(lo + k, ts), 1)
+        for (seq, t), a_r, b_r in zip(draws, a[:, 0].tolist(), b[:, 0].tolist()):
+            asq = abs(a_r) ** 2
+            det_rel = abs(asq - abs(b_r) ** 2 - 1.0) / asq
+            mod_a = math.sqrt(asq)
+            rep.n_checked += 1
+            rep.record_worst("det_rel", det_rel, smaller_is_worse=False)
+            rep.record_worst("abs_a_min", mod_a)
+            if det_rel > 1e-10 or mod_a < 1.0 - 1e-12:
+                rep.fail(F=seq.to_json_dict(), t=t, det_rel=det_rel, abs_a=mod_a)
     return rep
 
 
@@ -310,12 +330,12 @@ def theorem2_suite(
         p = THEOREM2_PS[i % len(THEOREM2_PS)]
         e = ExponentPair(p)
         seq = condition9_draw(rng, p, cc)
-        cond = condition_check(seq, e, cc)
+        sampler = WeightSampler(seq, (p,))
+        cond = condition_check(seq, e, cc, sampler)
         if not cond.holds:
             rep.fail(F=seq.to_json_dict(), p=p, kind="construction",
                      margin=cond.margin)
             continue
-        sampler = WeightSampler(seq, (p,))
         report = theorem2_margin(seq, e, cc, cfg, sampler=sampler)
         rep.n_checked += 1
         rel = report.margin_rel

@@ -25,7 +25,9 @@ from su11 import inequality_harness, spectral_norms
 from su11.inequality_harness import _TraceGrids
 from su11.nft_core import _grid_phases, _phases, product_on_grid_arrays
 from su11.spectral_norms import NormResult, WeightSampler, _first_grid, lq_norm_periodic
-from su11.verification import PLACEHOLDER_CC, THEOREM1_PS, condition9_draw, theorem1_suite
+from su11.verification import (
+    PLACEHOLDER_CC, THEOREM1_PS, condition9_draw, theorem1_suite, theorem2_suite,
+)
 
 from conftest import random_sequence_draw, sequence_of_width
 
@@ -314,6 +316,7 @@ def test_a_sampler_of_another_sequence_is_rejected(quad):
     calls = [lambda: hy_ratio(seq, e, quad, sampler=other),
              lambda: theorem1_margin(seq, e, quad, sampler=other),
              lambda: theorem2_margin(spread, e, CC, quad, sampler=other),
+             lambda: condition_check(spread, e, CC, sampler=other),
              lambda: proof_ledger(seq, e, CC, quad, sampler=other)]
     for call in calls:
         with pytest.raises(ValueError, match="another sequence"):
@@ -495,6 +498,17 @@ def test_theorem1_suite_refines_three_times_per_draw(monkeypatch, with_ledger, p
     rep = theorem1_suite(n_draws=6, seed=4, with_ledger=with_ledger)
     draws = rep.n_checked // len(THEOREM1_PS)
     assert draws >= 5 and len(calls) == per_draw * draws
+
+
+def test_theorem2_suite_takes_the_moduli_once_per_draw(monkeypatch):
+    """The condition check, the margin and the ledger of a theorem2 draw
+    read the moduli its sampler holds."""
+    seqs = []
+    moduli = CoefficientSequence.moduli
+    monkeypatch.setattr(CoefficientSequence, "moduli",
+                        lambda self: seqs.append(self) or moduli(self))
+    rep = theorem2_suite(n_draws=4, seed=3)
+    assert rep.n_checked == 4 and len(seqs) == 4 and len(set(seqs)) == 4
 
 
 def test_theorem1_suite_echoes_its_ledger_triple():

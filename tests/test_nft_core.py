@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import su11
@@ -24,9 +24,13 @@ from su11.extended import mp_product
 from su11.inequality_harness import _TraceGrids
 import su11.nft_core as nft_core
 from su11.nft_core import (
-    _factor, _grid_phases, _phases, linear_fourier_on_grid, product_on_grid_arrays,
+    _factor, _fold_rows, _grid_phases, _phases, linear_fourier_on_grid,
+    product_on_grid_arrays,
 )
-from su11.verification import reversed_order_product
+from su11 import verification
+from su11.verification import (
+    SuiteReport, random_window_sequence, reversed_order_product, su11_membership_suite,
+)
 
 from conftest import random_sequence_draw
 
@@ -65,6 +69,36 @@ def test_derive_group_relation_within_8_ulp():
             A, B = _factor(v)
             residual = A * A - abs(B) ** 2 - 1.0
             assert abs(residual) <= 8 * np.finfo(float).eps * max(1.0, A * A)
+
+
+def _scalar_factor(v: complex) -> tuple[float, complex]:
+    """The factor formula on one entry, with Python's complex ``abs``."""
+    m = abs(v)
+    A = 1.0 / math.sqrt((1.0 - m) * (1.0 + m))
+    return A, v * A
+
+
+_EDGE = 1.0 - 2e-12  # a modulus just inside the guard
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=_EDGE, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+@example([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+@example([0.5 + 0j, -0.25 + 0j, complex(0.7, -0.0), 0.3j, -0.6j, complex(-0.0, 0.45)])
+@example([complex(_EDGE, 0.0), complex(0.0, -_EDGE),
+          complex(_EDGE * math.cos(1.0), _EDGE * math.sin(1.0))])
+def test_array_factor_is_the_scalar_formula_bitwise(values):
+    """``_factor`` over an array gives, entry by entry and in any shape, the
+    bits of the formula on the scalar entry with Python's complex ``abs``."""
+    A_ref, B_ref = zip(*(_scalar_factor(v) for v in values))
+    A_ref, B_ref = np.array(A_ref), np.array(B_ref, dtype=complex)
+    vals = np.array(values, dtype=complex)
+    for shape in ((-1,), (1, -1), (-1, 1)):
+        A, B = _factor(vals.reshape(shape))
+        assert A.shape == B.shape == vals.reshape(shape).shape
+        assert np.array_equal(A.ravel().view(np.uint64), A_ref.view(np.uint64))
+        assert np.array_equal(B.ravel().view(np.uint64), B_ref.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +238,14 @@ def _convergence_tests(node):
     return found
 
 
+def _calls_factor(node) -> bool:
+    return isinstance(node, ast.Call) and "_factor" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
 def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
-    """The factor coefficients are computed in one place and the phases
+    """The factor coefficients are computed in one place, called once by
+    each of the two fold loops (no per-entry factor loop), and the phases
     e^{2 pi i n t} are built only by nft_core._phases (extended.py, the
     independent oracle, is exempt); the grid levels' root-of-unity tables
     are built through it too.  Only spectral_norms._refine tests
@@ -226,6 +266,7 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     coeff, phase = "(1.0 - m) * (1.0 + m)", re.compile(r"np\.exp\(2j|cmath\.exp")
     coeff_count, stray = 0, []
     convergence, in_refine, samplers = 0, 0, []
+    factor_calls, factor_sites = 0, []
     for path in sorted(root.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
@@ -238,6 +279,10 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
             refine = next(node for node in tree.body
                           if isinstance(node, ast.FunctionDef) and node.name == "_refine")
             in_refine = len(_convergence_tests(refine))
+        factor_calls += sum(map(_calls_factor, ast.walk(tree)))
+        factor_sites += [(path.name, fn.name) for fn in ast.walk(tree)
+                         if isinstance(fn, ast.FunctionDef)
+                         for call in ast.walk(fn) if _calls_factor(call)]
         if path.name == "extended.py":
             continue
         coeff_count += text.count(coeff)
@@ -250,9 +295,66 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
             if phase.search(line) and lineno not in allowed:
                 stray.append(f"{path.name}:{lineno}")
     assert coeff_count == 1
+    assert factor_sites == [("nft_core.py", "_fold"), ("nft_core.py", "_fold_rows")]
+    assert factor_calls == 2
+    assert "ndenumerate" not in (root / "nft_core.py").read_text()
     assert stray == []
     assert in_refine >= 1 and convergence == in_refine
     assert samplers == ["spectral_norms.py:WeightSampler"]
+
+
+def test_fold_rows_at_per_row_points_is_each_product_at_its_point():
+    """Rows folded at their own scalar ``t`` (phases of shape (rows, 1)) give
+    each row's |a| and |b| at one point bit for bit, zero rows and interior
+    zeros included, and agree with the extended-precision product."""
+    rng = np.random.default_rng(21)
+    seqs = [random_window_sequence(rng, 12, 0.9) for _ in range(40)]
+    seqs += [CoefficientSequence(-6, (0j,) * 12), CoefficientSequence(-2, (0.4, 0j, 0j, -0.3j)),
+             CoefficientSequence(5, (0.8j,))]
+    ts = rng.uniform(0.0, 1.0, len(seqs))
+    rows = np.zeros((len(seqs), 12), dtype=complex)
+    for r, seq in enumerate(seqs):
+        rows[r, seq.offset + 6:seq.offset + 6 + len(seq.values)] = seq.values
+    a, b = _fold_rows(rows, lambda k: _phases(k - 6, ts[:, None]), 1)
+    assert a.shape == b.shape == (len(seqs), 1)
+    for r, (seq, t) in enumerate(zip(seqs, ts)):
+        a1, b1 = product_on_grid_arrays(seq, np.array([t]))
+        assert np.abs(a[r]).tobytes() == np.abs(a1).tobytes()
+        assert np.abs(b[r]).tobytes() == np.abs(b1).tobytes()
+    for r in (0, 1, len(seqs) - 2, len(seqs) - 1):
+        a_mp, b_mp = (complex(x) for x in mp_product(seqs[r], float(ts[r])))
+        assert abs(a[r, 0] - a_mp) <= 1e-13 * abs(a_mp)
+        assert abs(b[r, 0] - b_mp) <= 1e-13 * abs(a_mp)
+
+
+def _membership_per_draw(n_draws: int, seed: int) -> SuiteReport:
+    """The membership suite as one product per draw, at its one point."""
+    rng = np.random.default_rng(seed)
+    rep = SuiteReport("su11-membership", seed)
+    for _ in range(n_draws):
+        seq = random_window_sequence(rng, 12, 0.9)
+        t = float(rng.uniform(0.0, 1.0))
+        a, b = product_on_grid_arrays(seq, np.array([t]))
+        asq = abs(complex(a[0])) ** 2
+        det_rel = abs(asq - abs(complex(b[0])) ** 2 - 1.0) / asq
+        mod_a = math.sqrt(asq)
+        rep.n_checked += 1
+        rep.record_worst("det_rel", det_rel, smaller_is_worse=False)
+        rep.record_worst("abs_a_min", mod_a)
+        if det_rel > 1e-10 or mod_a < 1.0 - 1e-12:
+            rep.fail(F=seq.to_json_dict(), t=t, det_rel=det_rel, abs_a=mod_a)
+    return rep
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_membership_batches_equal_one_product_per_draw(monkeypatch, chunk):
+    """The suite's batch folds report what one product per draw reports,
+    across chunk boundaries (the default chunk holds every draw here)."""
+    if chunk is not None:
+        monkeypatch.setattr(verification, "_MEMBERSHIP_CHUNK", chunk)
+    for seed, n_draws in ((1, 30), (20260808, 45), (90210, 23)):
+        assert (su11_membership_suite(n_draws, seed).to_dict()
+                == _membership_per_draw(n_draws, seed).to_dict())
 
 
 # ---------------------------------------------------------------------------
