@@ -315,7 +315,7 @@ def condition_check(
     ``sampler`` (built for ``seq``, else ValueError) supplies the moduli."""
     _require_nonzero(seq)
     alpha, delta = alpha_delta(cc)
-    mods = seq.moduli() if sampler is None else _sampler_for(seq, sampler, exponents).mods
+    mods = _sampler_for(seq, sampler, exponents).mods
     l1 = float(np.sum(mods))
     ratio = lp_sequence_norm(mods, math.inf) / lp_sequence_norm(mods, exponents.p)
     rhs = delta * (1.0 - ratio) ** alpha
