@@ -136,15 +136,15 @@ class _WalkEvaluator:
     the phase rows of the batch grid, twice the first level M, are gathered
     once (``nft_core._grid_phases``).
 
-    ``ratios(cands)`` folds the candidates one coordinate tries as one
-    ``(rows, 2M)`` batch through ``_fold_rows``, whose even columns are the
-    M level (``2j / 2M`` and ``j / M`` round to the same double), and
-    refines that block once; a level past the batch folds the new odd
-    points of every row (``_lhs_on_grid``), and ``_refine`` reduces the open
-    ones.  ``ratio(vals, levels)`` is the one-row case of the same path.
-    Every row is bit-identical to folding and refining its candidate alone.
-    Nothing is kept between calls.  The walk's final answer is always
-    re-certified through hy_ratio at full tolerance.
+    ``ratios(cands)`` refines the candidates one coordinate tries as one
+    block, whose levels ``_lhs_on_grid`` builds like any other
+    (``_refined_level``): ``_refine`` asks first for the batch grid, folded
+    whole with the phase table, whose even columns are the M level; a level
+    past it folds the new odd points of every row, and ``_refine`` reduces
+    the open ones.  ``ratio(vals, levels)`` is the one-row case of the same
+    path.  Every row is bit-identical to folding and refining its candidate
+    alone.  Nothing is kept between calls.  The walk's final answer is
+    always re-certified through hy_ratio at full tolerance.
     """
 
     def __init__(self, offset: int, count: int, exponents: ExponentPair,
@@ -163,10 +163,7 @@ class _WalkEvaluator:
         one batch fold refined as one block."""
         block = np.array(cands)
         live = np.flatnonzero(np.any(block != 0, axis=1))
-        _, b = _fold_rows(block[live], self._phase.__getitem__, self._grid)
-        weights = np.sqrt(np.log1p(np.abs(b) ** 2))
-        levels = {self._grid // 2: np.ascontiguousarray(weights[:, ::2]), self._grid: weights}
-        lhs = dict(zip(live.tolist(), self._lhs(block[live], levels).value.tolist()))
+        lhs = dict(zip(live.tolist(), self._lhs(block[live], {}).value.tolist()))
         for i, cand in enumerate(cands):
             yield lhs[i] / self._rhs(cand) if i in lhs else None
 
@@ -188,11 +185,13 @@ class _WalkEvaluator:
     def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict) -> np.ndarray:
         """The weight (log|a|^2)^(1/2) of the candidates ``vals`` (one per
         row, or one candidate) at the points j / grid, from ``levels`` or
-        built into it."""
+        built into it; the batch grid folds with the phase table."""
         block = vals.reshape(-1, vals.shape[-1])
 
         def fresh(ts, at):
-            _, b = _fold_rows(block, lambda k: _grid_phases(self.offset + k, *at), ts.size)
+            phase = self._phase.__getitem__ if at == (self._grid, False) else (
+                lambda k: _grid_phases(self.offset + k, *at))
+            _, b = _fold_rows(block, phase, ts.size)
             return np.sqrt(np.log1p(np.abs(b) ** 2)).reshape(vals.shape[:-1] + ts.shape)
 
         return _refined_level(levels, grid, fresh)

@@ -89,12 +89,6 @@ class CoefficientSequence:
     def is_zero(self) -> bool:
         return self.support() is None
 
-    def __getitem__(self, n: int) -> complex:
-        k = n - self.offset
-        if 0 <= k < len(self.values):
-            return self.values[k]
-        return 0j
-
     def window_entries(self) -> list[tuple[int, complex]]:
         """(n, F_n) for n across the trimmed support window, zeros included."""
         s = self.support()

@@ -97,17 +97,19 @@ def _refined_level(cache: dict, grid_size: int, fresh) -> np.ndarray:
 
     ``fresh`` maps an array of points t to samples whose last axis runs over
     t; ``grid = (grid_size, odd)`` names those points as the grid level (see
-    ``nft_core._grid_phases``).  When the level of ``grid_size // 2`` points
-    is cached, only the odd points (2j + 1) / grid_size are evaluated and
-    interleaved with it: the even points 2j / grid_size and
-    j / (grid_size / 2) round to the same double, so the level is
-    bit-identical to evaluating every point.
+    ``nft_core._grid_phases``).  The even points 2j / grid_size and
+    j / (grid_size / 2) round to the same double, so a level evaluated
+    whole also caches its even points as the half level, and when the half
+    level is cached only the odd points (2j + 1) / grid_size are evaluated
+    and interleaved with it.
     """
     out = cache.get(grid_size)
     if out is None:
         half = cache.get(grid_size // 2) if grid_size % 2 == 0 else None
         if half is None:
             out = fresh(np.arange(grid_size, dtype=float) / grid_size, (grid_size, False))
+            if grid_size % 2 == 0:
+                cache[grid_size // 2] = np.ascontiguousarray(out[..., ::2])
         else:
             odd = fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size,
                         (grid_size, True))
@@ -147,7 +149,6 @@ class WeightSampler:
         self.qs = tuple(ExponentPair(p).q for p in ps)
         self._b_abs: dict[int, np.ndarray] = {}
         self._logsq: dict[int, np.ndarray] = {}
-        self._weight: dict[int, np.ndarray] = {}
         self._norms: dict[tuple, dict[float, NormResult]] = {}
         self.trace_grids = None  # set by proof_ledger on first use
 
@@ -184,11 +185,7 @@ class WeightSampler:
         return self._b_abs[grid_size]
 
     def on_grid(self, grid_size: int) -> np.ndarray:
-        out = self._weight.get(grid_size)
-        if out is None:
-            out = np.sqrt(self.logsq_on_grid(grid_size))
-            self._weight[grid_size] = out
-        return out
+        return np.sqrt(self.logsq_on_grid(grid_size))
 
 
 def _first_grid(cfg: QuadratureConfig, span: int) -> int:
@@ -220,7 +217,9 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     leading shape with the columns last (``converged`` if every cell did); a
     step of the history is (grid, values, ests, cells) over its open cells.
     ``_columns`` splits out each column's NormResult.  Every torus norm runs
-    through this loop.
+    through this loop.  The first doubling's level is asked for before the
+    first level, so a level function built on ``_refined_level`` samples
+    both in one evaluation.
     """
 
     def reduce(samples, grid: int, rows: list, cols: list) -> list:
@@ -234,6 +233,7 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
                 for x in statistic(block[rows[i:i + chunk]], cols)]
 
     grid = _first_grid(cfg, span)
+    ahead = [level(2 * grid)] if 2 * grid <= cfg.max_grid else []
     first = level(grid)
     shape = first.shape[:-1] if isinstance(first, np.ndarray) else ()
     K = columns
@@ -246,7 +246,7 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     grid_used, est = [grid] * len(value), [math.inf] * len(value)
     history = []
     while cells and 2 * grid <= cfg.max_grid:
-        nxt = reduce(level(2 * grid), 2 * grid, rows, cols)
+        nxt = reduce(ahead.pop() if ahead else level(2 * grid), 2 * grid, rows, cols)
         if len(nxt) > len(cells):  # the rows x cols values hold closed cells too
             at = {r * K + k: i for i, (r, k) in enumerate(itertools.product(rows, cols))}
             nxt = [nxt[at[c]] for c in cells]

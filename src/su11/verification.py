@@ -193,7 +193,10 @@ def parseval_suite(
     """Zero residual of the conservation law, fixture first then draws.
 
     Fixture F0 = F1 = 1/2: both sides equal 2 log(4/3), residual <= 1e-10.
-    Random draws (sup norm <= 0.9, window <= 10): |residual| <= 1e-9.
+    Random draws (sup norm <= 0.9, window <= 10): |residual| <= 1e-9.  Two
+    levels can agree on a wrong value, so a draw over the gate is refined
+    again from 4x the grid that decided it; a converged re-check under the
+    gate reverses the failure, with both residuals in the notes.
     """
     cfg = cfg or QuadratureConfig()
     rng = np.random.default_rng(seed)
@@ -208,11 +211,19 @@ def parseval_suite(
     if abs(res) > 1e-10 or abs(detail.value - both) > 1e-10:
         rep.fail(F=fixture.to_json_dict(), residual=res)
 
-    for _ in range(n_draws):
+    for i in range(n_draws):
         seq = random_window_sequence(rng, 10, 0.9)
         if seq.is_zero():
             continue
-        res, _ = parseval_residual(seq, cfg)
+        res, detail = parseval_residual(seq, cfg)
+        if abs(res) > 1e-9:
+            grid = min(4 * detail.grid_used, 1 << cfg.max_grid.bit_length() - 1)
+            again, check = parseval_residual(
+                seq, QuadratureConfig(grid, cfg.max_grid, cfg.rel_tol))
+            if check.converged and abs(again) <= 1e-9:
+                rep.notes.append(f"draw {i}: residual {res!r} (grid_used {detail.grid_used}) "
+                                 f"re-checked from grid {grid}: {again!r}")
+                res = again
         rep.n_checked += 1
         rep.record_worst("abs_residual", abs(res), smaller_is_worse=False)
         if abs(res) > 1e-9:
@@ -361,8 +372,8 @@ def endpoint_suite(n_draws: int = 25, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Reference identities at the exponent endpoints.
 
     p = 2 reduces to the conservation law (ratio 1 within quadrature
-    tolerance); p = 1 / q = inf uses the sampled maximum, which can only
-    underestimate the supremum, so ratio <= 1 + 1e-9 is a safe check.
+    tolerance); p = 1 / q = inf uses the sampled maximum, a lower bound of
+    the supremum, so a pass of ratio <= 1 + 1e-9 there is not certified.
     """
     cfg = QuadratureConfig()
     sup_cfg = QuadratureConfig(initial_grid=4096, max_grid=2**20, rel_tol=1e-8)

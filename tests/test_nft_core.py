@@ -249,7 +249,9 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     e^{2 pi i n t} are built only by nft_core._phases (extended.py, the
     independent oracle, is exempt); the grid levels' root-of-unity tables
     are built through it too.  Only spectral_norms._refine tests
-    convergence, and WeightSampler is the only sampler class."""
+    convergence, and WeightSampler is the only sampler class.  The walk
+    folds in one place, and only spectral_norms takes a level's even points
+    (``_refined_level``)."""
     built = []
 
     def spy(n, ts):
@@ -266,10 +268,17 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     coeff, phase = "(1.0 - m) * (1.0 + m)", re.compile(r"np\.exp\(2j|cmath\.exp")
     coeff_count, stray = 0, []
     convergence, in_refine, samplers = 0, 0, []
-    factor_calls, factor_sites = 0, []
+    factor_calls, factor_sites, even_points = 0, [], []
     for path in sorted(root.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
+        even_points += [path.name for node in ast.walk(tree) if isinstance(node, ast.Slice)
+                        and isinstance(node.step, ast.Constant) and node.step.value == 2
+                        and (node.lower is None or getattr(node.lower, "value", None) == 0)]
+        if path.name == "extremizer_search.py":
+            walk_folds = sum(isinstance(node, ast.Call)
+                             and getattr(node.func, "id", None) == "_fold_rows"
+                             for node in ast.walk(tree))
         convergence += len(_convergence_tests(tree))
         samplers += [f"{path.name}:{cls.name}" for cls in ast.walk(tree)
                      if isinstance(cls, ast.ClassDef)
@@ -301,6 +310,8 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     assert stray == []
     assert in_refine >= 1 and convergence == in_refine
     assert samplers == ["spectral_norms.py:WeightSampler"]
+    assert walk_folds == 1
+    assert even_points and set(even_points) == {"spectral_norms.py"}
 
 
 def test_fold_rows_at_per_row_points_is_each_product_at_its_point():
@@ -501,11 +512,6 @@ def test_support_ignores_padding_zeros():
     assert seq.support() == (-1, 1)
     # interior zero is kept in the window walk
     assert [n for n, _ in seq.window_entries()] == [-1, 0, 1]
-
-
-def test_getitem_outside_window_is_zero():
-    seq = CoefficientSequence(5, (0.25,))
-    assert seq[4] == 0j and seq[6] == 0j and seq[5] == 0.25
 
 
 def test_text_round_trip():

@@ -23,7 +23,7 @@ from su11 import extremizer_search
 from su11.extremizer_search import (
     _MIN_STEP, _WalkEvaluator, _project, _rng_for_start, sequence_digest,
 )
-from su11.nft_core import _log_a_sq
+from su11.nft_core import _fold_rows, _grid_phases, _log_a_sq
 from su11.spectral_norms import WeightSampler, _first_grid, lq_norm_periodic
 
 FAST_QUAD = QuadratureConfig(initial_grid=128, max_grid=2**16, rel_tol=1e-8)
@@ -96,11 +96,12 @@ def _level_spy(calls):
 @example(0, 1, 1, 0, 4)  # one candidate of one entry: a batch with no live row
 @settings(max_examples=80, deadline=None)
 def test_batched_levels_match_one_row_folds(seed, rows, width, offset, grid):
-    """Candidates folded as one batch give, at the first level and twice
-    it, the very bits of folding each candidate alone, with zero entries
-    anywhere, also where another row's entry is nonzero; the zero
-    candidate's ratio is None, and a batch of zero candidates refines at
-    most one level of no rows."""
+    """Candidates folded as one batch at twice the first level, whose even
+    points are the first level, give at both levels the very bits of
+    folding each candidate alone at that level, with zero entries anywhere,
+    also where another row's entry is nonzero; the zero candidate's ratio
+    is None, and a batch of zero candidates folds at most one level of no
+    rows."""
     rng = np.random.default_rng(seed)
     vals = _random_rows(rng, rows, width, 0.2)
     vals[0, int(rng.integers(width))] = 0  # a zero where other rows may not have one
@@ -113,18 +114,20 @@ def test_batched_levels_match_one_row_folds(seed, rows, width, offset, grid):
         ratios = list(_WalkEvaluator(offset, width, e, quad).ratios(cands))
     assert [r is None for r in ratios] == [not np.any(cand != 0) for cand in cands]
     if not live:
-        assert len(calls) <= 1 and all(len(block) == 0 for block, *_ in calls)
+        assert sum(not cached for _, _, cached, _ in calls) <= 1
+        assert all(len(block) == 0 for block, *_ in calls)
         return
     first = _first_grid(quad, width - 1)
     batch = calls[:2]
-    # served by the batch, for every live candidate at once
+    # the batch grid is folded first, for every live candidate at once, and
+    # its even points serve the first level
     assert [(level, cached) for _, level, cached, _ in batch] == [
-        (first, True), (2 * first, True)]
-    alone = _WalkEvaluator(offset, width, e, quad)
+        (2 * first, False), (first, True)]
     for block, level, _, got in batch:
         assert np.array_equal(block, np.array(live))
         for cand, row in zip(live, got):
-            assert row.tobytes() == alone._lhs_on_grid(cand, level, {}).tobytes()
+            _, b = _fold_rows(cand[None], lambda k: _grid_phases(offset + k, level), level)
+            assert row.tobytes() == np.sqrt(np.log1p(np.abs(b[0]) ** 2)).tobytes()
 
 
 def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
@@ -144,8 +147,9 @@ def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
 
 
 def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
-    """A level of M points past the batch folds only its M // 2 new odd
-    points; the even ones are the cached half level."""
+    """The batch grid is the one level folded whole, and serves the first
+    level; a level of M points past it folds only its M // 2 new odd
+    points, the even ones being the cached half level."""
     calls, folded = [], []
     original_fold = extremizer_search._fold_rows
 
@@ -158,9 +162,11 @@ def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
     quad = QuadratureConfig(initial_grid=4, max_grid=2**16, rel_tol=1e-9)
     cands = list(_random_rows(np.random.default_rng(7), 4, 6, 0.0))
     list(_WalkEvaluator(-2, 6, ExponentPair(1.3), quad).ratios(cands))
-    past = [grid for _, grid, cached, _ in calls if not cached]
-    assert past and folded == [(4, 2 * _first_grid(quad, 5))] + [
-        (4, grid // 2) for grid in past]
+    first = _first_grid(quad, 5)
+    assert [(grid, cached) for _, grid, cached, _ in calls[:2]] == [
+        (2 * first, False), (first, True)]
+    past = [grid for _, grid, cached, _ in calls[2:] if not cached]
+    assert past and folded == [(4, 2 * first)] + [(4, grid // 2) for grid in past]
 
 
 def _one_at_a_time_walk(start, exponents, cfg):
@@ -437,4 +443,5 @@ def test_walk_starts_at_the_configured_initial_grid(monkeypatch):
     quad = QuadratureConfig(initial_grid=64, max_grid=2**16, rel_tol=1e-8)
     start = CoefficientSequence(0, (0.1, 0.05j, 0.02))
     local_search(start, ExponentPair(1.5), small_config(quadrature=quad, max_iters=1))
-    assert grids[0] == 64 and min(grids) == 64
+    # the batch grid comes first; its even points are the initial level
+    assert grids[:2] == [128, 64] and min(grids) == 64

@@ -21,7 +21,8 @@ from su11 import spectral_norms
 from su11.nft_core import product_on_grid_arrays
 from su11.inequality_harness import _TraceGrids
 from su11.spectral_norms import _TINY, _first_grid, _refine
-from su11.verification import THEOREM1_PS, parseval_suite
+from su11.cli import main
+from su11.verification import THEOREM1_PS, parseval_suite, random_window_sequence
 
 from conftest import random_sequence_draw, sequence_of_width
 
@@ -244,6 +245,92 @@ def test_parseval_suite_without_draws_reports_no_draw_residual():
     assert rep.n_checked == 1  # the fixture
     assert "abs_residual" not in rep.worst
     assert "fixture_residual" in rep.worst
+
+
+def test_a_refinement_samples_its_first_two_levels_in_one_kernel_call(monkeypatch):
+    """A refinement that converges at its first doubling evaluates the
+    level 2M whole, once, and takes the first level M from its even points:
+    one product for a one-row weight norm, one ``_TraceGrids._rows`` call
+    for a ledger block.  Both levels keep the bits of sampling them alone."""
+    products, rows = [], []
+    product, trace_rows = spectral_norms.product_on_grid_arrays, _TraceGrids._rows
+    monkeypatch.setattr(spectral_norms, "product_on_grid_arrays",
+                        lambda seq, ts, grid: products.append(grid) or product(seq, ts, grid))
+    monkeypatch.setattr(_TraceGrids, "_rows",
+                        lambda self, ts, grid: rows.append(grid) or trace_rows(self, ts, grid))
+    seq, cfg = CoefficientSequence(-1, (0.1, 0.05j, 0.02)), QuadratureConfig()
+    sampler, grids = WeightSampler(seq), _TraceGrids(seq)
+    M = _first_grid(cfg, sampler.span)
+    norm = lq_norm_periodic(sampler.on_grid, 3.0, cfg, sampler.span)
+    block = lq_norm_periodic(grids.level, 3.0, cfg, sampler.span)
+    assert norm.converged and norm.grid_used == M and len(norm.history) == 1
+    assert block.converged and np.all(block.grid_used == M) and len(block.history) == 1
+    assert products == rows == [(2 * M, False)]
+    for grid in (M, 2 * M):
+        ts = np.arange(grid) / grid
+        alone = np.abs(product(seq, ts, (grid, False))[1])
+        assert sampler.b_abs_on_grid(grid).tobytes() == alone.tobytes()
+        assert grids.level(grid).tobytes() == trace_rows(grids, ts, (grid, False)).tobytes()
+    assert products == rows == [(2 * M, False)]
+
+
+# ``su11 verify`` seeds whose parseval suite meets a draw on which two
+# refinement levels agree on a wrong value: the draw and its residual
+FALSE_PARSEVAL = {1391071104: (87, 2.93e-9), 2493: (35, 8.67e-9),
+                  1592: (11, 3.20e-9), 1077: (81, 1.88e-9)}
+
+
+def _logsq_trapezoid_error(seq, M):
+    """The exact error of the M-point trapezoid sum of log|a|^2.
+
+    ``a`` is a polynomial in w = e^{-2 pi i t} of degree ``span`` with
+    constant term prod A_n and no zero in |w| <= 1, and the product of
+    1 - omega x over the M-th roots of unity omega is 1 - x^M; so the sum is
+    sum log A_n^2 + (1/M) sum_j log|1 - w_j^-M|^2 over the zeros w_j of a.
+    """
+    lo, hi = seq.support()
+    N = 1 << (2 * (hi - lo) + 2).bit_length()  # above 2 span + 1
+    a, _ = product_on_grid_arrays(seq, np.arange(N) / N)
+    coeffs = np.fft.fft(a)[-np.arange(hi - lo + 1) % N] / N  # of w^0 .. w^span
+    zeros = np.roots(coeffs[::-1])
+    return float(np.sum(np.log(np.abs(1.0 - zeros ** -M) ** 2)) / M)
+
+
+@pytest.mark.parametrize("seed", sorted(FALSE_PARSEVAL))
+def test_parseval_rechecks_two_levels_that_agree_on_a_wrong_value(seed, tmp_path):
+    """On each known draw the first refinement reports the exact trapezoid
+    error of its final level, over the 1e-9 gate; the suite re-checks it
+    from 4x the grid, where the exact error is under the gate, notes the
+    reversal and passes, and ``su11 verify`` at that seed exits 0."""
+    draw, reported = FALSE_PARSEVAL[seed]
+    rng = np.random.default_rng(seed)
+    seq = [random_window_sequence(rng, 10, 0.9) for _ in range(draw + 1)][-1]
+    cfg = QuadratureConfig()
+    residual, res = parseval_residual(seq, cfg)
+    assert abs(residual) > 1e-9 and residual == pytest.approx(reported, rel=5e-3)
+    exact = _logsq_trapezoid_error(seq, 2 * res.grid_used)
+    assert residual == pytest.approx(exact, rel=1e-5)
+    recheck = QuadratureConfig(4 * res.grid_used, cfg.max_grid, cfg.rel_tol)
+    again, res2 = parseval_residual(seq, recheck)
+    assert res2.converged and abs(again) <= 1e-9
+    assert abs(_logsq_trapezoid_error(seq, 2 * res2.grid_used)) <= 1e-12
+
+    rep = parseval_suite(seed=seed)
+    assert rep.passed and rep.failures == []
+    notes = [note for note in rep.notes if "re-checked" in note]
+    assert notes == [f"draw {draw}: residual {residual!r} (grid_used {res.grid_used}) "
+                     f"re-checked from grid {4 * res.grid_used}: {again!r}"]
+    assert rep.worst["abs_residual"] <= 1e-9
+    assert main(["verify", "--seed", str(seed), "--output", str(tmp_path)]) == 0
+
+
+def test_a_parseval_recheck_that_cannot_converge_leaves_the_failure_standing():
+    """Under a ``max_grid`` of 3000 the seed-1391071104 draw stops at 2048
+    points; its re-check starts at the largest power of two within
+    ``max_grid``, cannot double, and so reverses nothing."""
+    rep = parseval_suite(seed=1391071104, cfg=QuadratureConfig(max_grid=3000))
+    assert not rep.passed and not any("re-checked" in note for note in rep.notes)
+    assert any(abs(fx["residual"]) > 1e-9 for fx in rep.failures)
 
 
 def test_refinement_estimates_shrink_statistically(quad):
