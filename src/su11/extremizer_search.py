@@ -141,10 +141,10 @@ class _WalkEvaluator:
     (``_refined_level``): ``_refine`` asks first for the batch grid, folded
     whole with the phase table, whose even columns are the M level; a level
     past it folds the new odd points of every row, and ``_refine`` reduces
-    the open ones.  ``ratio(vals, levels)`` is the one-row case of the same
-    path.  Every row is bit-identical to folding and refining its candidate
-    alone.  Nothing is kept between calls.  The walk's final answer is
-    always re-certified through hy_ratio at full tolerance.
+    the open ones.  ``ratio(vals)`` is the one-row case of ``ratios``.
+    Every row is bit-identical to folding and refining its candidate alone.
+    Nothing is kept between calls.  The walk's final answer is always
+    re-certified through hy_ratio at full tolerance.
     """
 
     def __init__(self, offset: int, count: int, exponents: ExponentPair,
@@ -163,24 +163,22 @@ class _WalkEvaluator:
         one batch fold refined as one block."""
         block = np.array(cands)
         live = np.flatnonzero(np.any(block != 0, axis=1))
-        lhs = dict(zip(live.tolist(), self._lhs(block[live], {}).value.tolist()))
+        rows, levels = block[live], {}
+        norm = lq_norm_periodic(lambda grid: self._lhs_on_grid(rows, grid, levels),
+                                self.q, self.quad, self.span)
+        lhs = dict(zip(live.tolist(), norm.value.tolist()))
         for i, cand in enumerate(cands):
             yield lhs[i] / self._rhs(cand) if i in lhs else None
 
-    def ratio(self, vals: np.ndarray, levels: dict) -> float:
-        """The ratio of one candidate, refined from ``levels`` (grid ->
-        samples), which it fills."""
-        return self._lhs(vals, levels).value / self._rhs(vals)
+    def ratio(self, vals: np.ndarray) -> float:
+        """The ratio of one candidate: the one-row case of ``ratios``."""
+        return next(self.ratios([vals]))
 
     def _rhs(self, vals: np.ndarray) -> float:
         # summed here rather than by lp_sequence_norm, which rounds
         # differently; the walk's r > best test is decided in the last bits
         weights = [math.sqrt(_log_a_sq(abs(v))) for v in vals if v != 0]
         return float(np.sum(np.asarray(weights) ** self.p)) ** (1.0 / self.p)
-
-    def _lhs(self, vals: np.ndarray, levels: dict):
-        return lq_norm_periodic(lambda grid: self._lhs_on_grid(vals, grid, levels),
-                                self.q, self.quad, self.span)
 
     def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict) -> np.ndarray:
         """The weight (log|a|^2)^(1/2) of the candidates ``vals`` (one per

@@ -114,8 +114,21 @@ class CoefficientSequence:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CoefficientSequence":
-        vals = tuple(complex(re, im) for re, im in d["values"])
-        return cls(int(d["offset"]), vals)
+        """The inverse of ``to_json_dict``; malformed input raises a
+        ValueError that names the problem."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a JSON sequence must be an object, not {type(d).__name__}")
+        for key in ("offset", "values"):
+            if key not in d:
+                raise ValueError(f"JSON sequence has no {key!r}")
+        offset = d["offset"]
+        if not isinstance(offset, int) or isinstance(offset, bool):
+            raise ValueError(f"JSON sequence offset {offset!r} is not an integer")
+        try:
+            vals = tuple(complex(re, im) for re, im in d["values"])
+        except (TypeError, ValueError):
+            raise ValueError("JSON sequence values must be a list of [re, im] pairs") from None
+        return cls(offset, vals)
 
 
 def sequence_to_text(seq: CoefficientSequence) -> str:

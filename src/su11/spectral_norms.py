@@ -65,19 +65,15 @@ class NormResult:
     """A norm value with the grid and error estimate that certified it.
 
     ``grid_used`` is the coarsest grid whose doubling moved the value by at
-    most rel_tol (the value itself comes from the doubled grid); ``history``
-    keeps one (grid, value, est) triple per refinement step.  For a block
-    the fields are arrays, ``converged`` holds if every row converged, and a
-    step holds the values and ests of its open rows.  ``_refine`` returns
-    one over all its cells, columns last, whose steps also list their open
-    cells; ``_columns`` splits it into one per column.
+    most rel_tol (the value itself comes from the doubled grid).  For a
+    block the fields are arrays of its leading shape, and ``converged``
+    holds if every row converged.
     """
 
     value: float
     grid_used: int
     est_rel_error: float
-    converged: bool = True
-    history: tuple[tuple[int, float, float], ...] = field(default=(), repr=False)
+    converged: bool
 
     def to_dict(self) -> dict:
         return {
@@ -195,7 +191,18 @@ def _first_grid(cfg: QuadratureConfig, span: int) -> int:
     return min(max(cfg.initial_grid, 1 << (2 * span + 1).bit_length()), cfg.max_grid)
 
 
-def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) -> NormResult:
+@dataclass(frozen=True)
+class _Refinement:
+    """What ``_refine`` returns: one NormResult per column, ``converged`` if
+    every cell converged, and one (grid, open cells) step per doubling, read
+    only by the bench tracer."""
+
+    columns: tuple[NormResult, ...]
+    converged: bool
+    history: tuple[tuple[int, list], ...]
+
+
+def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) -> _Refinement:
     """Double the grid until two successive statistics agree to rel_tol,
     cell by cell, from the first level ``_first_grid(cfg, span)``.
 
@@ -212,14 +219,13 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     freezes at its own first converged level, with the bits it gets alone;
     a level reduces the rows with an open cell over the columns open in
     some row, ``_STAT_CHUNK`` samples (or one row) per call, and a level
-    whose rows are all open and fit one chunk goes uncopied.  The fields are
-    lists over the columns for one row, and for a block arrays of its
-    leading shape with the columns last (``converged`` if every cell did); a
-    step of the history is (grid, values, ests, cells) over its open cells.
-    ``_columns`` splits out each column's NormResult.  Every torus norm runs
-    through this loop.  The first doubling's level is asked for before the
-    first level, so a level function built on ``_refined_level`` samples
-    both in one evaluation.
+    whose rows are all open and fit one chunk goes uncopied.  Column k's
+    NormResult is the one its statistic's column gets refined alone: floats
+    for one row, arrays of the block's leading shape for a block, converged
+    unless one of its cells is still open.  Every torus norm runs through
+    this loop.  The first doubling's level is asked for before the first
+    level, so a level function built on ``_refined_level`` samples both in
+    one evaluation.
     """
 
     def reduce(samples, grid: int, rows: list, cols: list) -> list:
@@ -250,8 +256,8 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
         if len(nxt) > len(cells):  # the rows x cols values hold closed cells too
             at = {r * K + k: i for i, (r, k) in enumerate(itertools.product(rows, cols))}
             nxt = [nxt[at[c]] for c in cells]
+        history.append((grid, cells))
         step = [abs(x - value[c]) / max(abs(x), _TINY) for c, x in zip(cells, nxt)]
-        history.append((grid, nxt, step, cells))
         for c, x, e in zip(cells, nxt, step):
             value[c], est[c], grid_used[c] = x, e, grid if e <= cfg.rel_tol else 2 * grid
         grid *= 2
@@ -262,30 +268,12 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     if shape:  # a block: arrays of its leading shape, the columns last
         shape += (K,)
         value, grid_used, est = (np.array(f).reshape(shape) for f in (value, grid_used, est))
-    return NormResult(value, grid_used, est, not cells, tuple(history))
-
-
-def _columns(res: NormResult) -> tuple[NormResult, ...]:
-    """The columns of a ``K``-column refinement (see ``_refine``), each as
-    the NormResult its statistic's column gets refined alone: the same
-    fields, and the history of the levels at which its cells were open."""
-    values, grids, ests = res.value, res.grid_used, res.est_rel_error
-    one_row = isinstance(values, list)  # floats, and a float per step
-    K = len(values) if one_row else values.shape[-1]
-    # a cell still open at the end reports the finest level sampled
-    top = 2 * res.history[-1][0] if res.history else 0
+    unconverged = {c % K for c in cells}
     out = []
     for k in range(K):
-        history = []
-        for g, nxt, step, cells in res.history:
-            at = [i for i, c in enumerate(cells) if c % K == k]
-            if at:
-                xs, es = [nxt[i] for i in at], [step[i] for i in at]
-                history.append((g, xs[0], es[0]) if one_row else (g, xs, es))
-        col = k if one_row else (..., k)
-        converged = grids[col] < top if one_row else bool((grids[col] < top).all())
-        out.append(NormResult(values[col], grids[col], ests[col], converged, tuple(history)))
-    return tuple(out)
+        at = (..., k) if shape else k
+        out.append(NormResult(value[at], grid_used[at], est[at], k not in unconverged))
+    return _Refinement(tuple(out), not cells, tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +320,7 @@ def lq_norm_periodic(level, q, cfg: QuadratureConfig, span: int):
                                  for s in sums]
         return out
 
-    norms = _columns(_refine(level, stat, cfg, span, len(qs)))
+    norms = _refine(level, stat, cfg, span, len(qs)).columns
     return norms if isinstance(q, tuple) else norms[0]
 
 
@@ -365,9 +353,9 @@ def parseval_residual(
     below 1e-9 for well-resolved inputs.
     """
     sampler = WeightSampler(seq)
-    integral = _columns(_refine(sampler.logsq_on_grid,  # np.mean's bits, see lq_norm_periodic
-                                lambda b, cols: (np.add.reduce(b, axis=-1) / b.shape[-1]).tolist(),
-                                cfg, sampler.span, 1))[0]
+    integral = _refine(sampler.logsq_on_grid,  # np.mean's bits, see lq_norm_periodic
+                       lambda b, cols: (np.add.reduce(b, axis=-1) / b.shape[-1]).tolist(),
+                       cfg, sampler.span, 1).columns[0]
     seq_side = float(sum(sampler.log_a_sq))
     return integral.value - seq_side, integral
 

@@ -301,6 +301,26 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("payload, problem", [
+    ({"offset": 0}, "no 'values'"),
+    ({"values": [[0.1, 0.0]]}, "no 'offset'"),
+    ([0.1, 0.2], "must be an object"),
+    ({"offset": 0, "values": 5}, "list of [re, im] pairs"),
+    ({"offset": 0, "values": [[0.1, 0.0, 0.2]]}, "list of [re, im] pairs"),
+    ({"offset": 1.5, "values": [[0.1, 0.0]]}, "1.5 is not an integer"),
+])
+def test_malformed_json_sequence_exits_1(capsys, tmp_path, payload, problem):
+    """A malformed JSON sequence file is an error that names the problem,
+    not a traceback, and writes no report."""
+    bad, out = tmp_path / "bad.json", tmp_path / "reports"
+    bad.write_text(json.dumps(payload))
+    code = main(["ratio", "--input", str(bad), "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+    assert not out.exists()
+
+
 def test_ratio_requires_input(capsys):
     code = main(["ratio", "--p", "1.5"])
     assert code == 1

@@ -464,30 +464,43 @@ def test_ledger_with_distinct_rows_matches_dense_rows(quad):
 ALIAS_PAIR = CoefficientSequence(0, (0.2,) + (0j,) * 511 + (0.2,))
 
 
+def _weight_grids(monkeypatch) -> list:
+    """The grid of every weight level asked for from here on."""
+    asked, on_grid = [], WeightSampler.on_grid
+    monkeypatch.setattr(WeightSampler, "on_grid",
+                        lambda self, grid: asked.append(grid) or on_grid(self, grid))
+    return asked
+
+
 @pytest.mark.parametrize("p, resolved", [(1.5, 0.9449507835000718),
                                          (1.9, 0.9898237223408985)])
-def test_widely_spaced_entries_are_not_aliased(p, resolved, quad):
+def test_widely_spaced_entries_are_not_aliased(p, resolved, quad, monkeypatch):
     """Aliased levels agree on a wrong ratio (1.2475 at p 1.5); refinement
     starts above the floor 2048 and resolves it."""
+    asked = _weight_grids(monkeypatch)
     rep = hy_ratio(ALIAS_PAIR, ExponentPair(p), quad)
-    assert rep.lhs.converged and rep.lhs.history[0][0] == 2048
+    assert rep.lhs.converged and min(asked) == 2048
     assert rep.ratio == pytest.approx(resolved, rel=1e-9)
     assert theorem1_margin(ALIAS_PAIR, ExponentPair(p), quad).ratio == rep.ratio
 
 
-def test_aliasing_gives_no_false_theorem1_violation(quad):
+def test_aliasing_gives_no_false_theorem1_violation(quad, monkeypatch):
     """Eight entries 512 apart (l1 0.48): aliased levels certify a ratio
     2.63 above the bound 2.44 at p 1.9.  From the floor the ratio is 0.98."""
+    asked = _weight_grids(monkeypatch)
     seq = CoefficientSequence(0, tuple(0.06 if k % 512 == 0 else 0j for k in range(3585)))
     rep = theorem1_margin(seq, ExponentPair(1.9), quad)
-    assert rep.lhs.history[0][0] == 8192
+    assert min(asked) == 8192
     assert rep.ratio == pytest.approx(0.98, abs=0.005) and rep.margin_rel > 0
 
 
-def test_alias_floor_above_max_grid_is_unconverged():
+def test_alias_floor_above_max_grid_is_unconverged(monkeypatch):
+    """A floor above ``max_grid`` leaves one level, ``max_grid``, and no
+    doubling to certify it."""
+    asked = _weight_grids(monkeypatch)
     rep = hy_ratio(ALIAS_PAIR, ExponentPair(1.5), QuadratureConfig(max_grid=1024))
     assert not rep.lhs.converged
-    assert rep.lhs.grid_used == 1024 and rep.lhs.history == ()
+    assert rep.lhs.grid_used == 1024 and asked == [1024]
 
 
 @pytest.mark.parametrize("with_ledger, per_draw", [(True, 3), (False, 1)])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import re
@@ -312,6 +313,19 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     assert samplers == ["spectral_norms.py:WeightSampler"]
     assert walk_folds == 1
     assert even_points and set(even_points) == {"spectral_norms.py"}
+
+
+def test_norm_result_holds_only_what_it_reports():
+    """``NormResult``'s fields are exactly the keys of its ``to_dict``, and
+    no module of the package reads an attribute named ``history``: the
+    refinement steps live only in ``_refine``'s own record."""
+    norm = su11.NormResult(1.0, 256, 0.0, True)
+    assert [f.name for f in dataclasses.fields(norm)] == list(norm.to_dict())
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(Path(su11.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "history"]
+    assert readers == []
 
 
 def test_fold_rows_at_per_row_points_is_each_product_at_its_point():

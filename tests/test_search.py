@@ -140,10 +140,12 @@ def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
     batched = _WalkEvaluator(-2, 6, e, quad)
     alone = _WalkEvaluator(-2, 6, e, quad)
     for cand, r in zip(cands, batched.ratios(cands)):
-        norm = lq_norm_periodic(lambda grid: alone._lhs_on_grid(cand, grid, {}), e.q, quad,
-                                alone.span)
-        assert len(norm.history) >= 2  # _refine asked for a third level
-        assert r == alone.ratio(cand, {})
+        asked = []
+        norm = lq_norm_periodic(
+            lambda grid: asked.append(grid) or alone._lhs_on_grid(cand, grid, {}),
+            e.q, quad, alone.span)
+        assert len(set(asked)) >= 3  # _refine asked for a third level
+        assert r == alone.ratio(cand) == norm.value / alone._rhs(cand)
 
 
 def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
@@ -179,7 +181,7 @@ def _one_at_a_time_walk(start, exponents, cfg):
         cfg.quadrature, rel_tol=max(cfg.coarse_rel_tol, cfg.quadrature.rel_tol)
     )
     coarse = _WalkEvaluator(start.offset, vals.size, exponents, walk_quad)
-    best = coarse.ratio(vals, {})
+    best = coarse.ratio(vals)
     step, sweeps, mid_coordinate = cfg.init_step, 0, 0
     while sweeps < cfg.max_iters and step >= _MIN_STEP:
         improved = False
@@ -190,7 +192,7 @@ def _one_at_a_time_walk(start, exponents, cfg):
                 cand = _project(cand, cfg.l1_cap)
                 if not np.any(cand != 0):
                     continue
-                r = coarse.ratio(cand, {})
+                r = coarse.ratio(cand)
                 if r > best:
                     best, vals = r, cand
                     improved = True

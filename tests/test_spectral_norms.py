@@ -263,8 +263,8 @@ def test_a_refinement_samples_its_first_two_levels_in_one_kernel_call(monkeypatc
     M = _first_grid(cfg, sampler.span)
     norm = lq_norm_periodic(sampler.on_grid, 3.0, cfg, sampler.span)
     block = lq_norm_periodic(grids.level, 3.0, cfg, sampler.span)
-    assert norm.converged and norm.grid_used == M and len(norm.history) == 1
-    assert block.converged and np.all(block.grid_used == M) and len(block.history) == 1
+    assert norm.converged and norm.grid_used == M
+    assert block.converged and np.all(block.grid_used == M)
     assert products == rows == [(2 * M, False)]
     for grid in (M, 2 * M):
         ts = np.arange(grid) / grid
@@ -335,15 +335,26 @@ def test_a_parseval_recheck_that_cannot_converge_leaves_the_failure_standing():
 
 def test_refinement_estimates_shrink_statistically(quad):
     """Across the Parseval integrand family, a doubling rarely grows the
-    successive-difference estimate by more than 2x (noise floor excluded)."""
+    successive-difference estimate by more than 2x (noise floor excluded).
+    The estimates come from the means a recording statistic hands
+    ``_refine``, level by level."""
     rng = np.random.default_rng(1234)
     ok, total = 0, 0
     for _ in range(100):
         seq = random_sequence_draw(rng, max_window=10)
         if seq.is_zero():
             continue
-        _, detail = parseval_residual(seq, quad)
-        ests = [h[2] for h in detail.history]
+        means = []
+
+        def statistic(block, cols):
+            means.append(float(np.add.reduce(block[0]) / block.shape[-1]))
+            return means[-1:]
+
+        sampler = WeightSampler(seq)
+        detail = _refine(sampler.logsq_on_grid, statistic, quad, sampler.span, 1).columns[0]
+        assert detail.value == parseval_residual(seq, quad)[1].value
+        ests = [abs(x - prev) / max(abs(x), _TINY) for prev, x in zip(means, means[1:])]
+        assert ests[-1] == detail.est_rel_error
         for prev, nxt in zip(ests[:-1], ests[1:]):
             if max(prev, nxt) < 1e-14:
                 continue
@@ -453,7 +464,7 @@ def test_sampler_evaluates_only_new_odd_points(monkeypatch):
 
 def _doubling_row(level, q, cfg, span):
     """One row refined by a plain doubling loop from ``_first_grid``: the
-    value, grid, estimate, convergence and (grid, value, est) steps."""
+    value, grid, estimate and convergence."""
 
     def stat(row):
         if q == math.inf:
@@ -465,39 +476,33 @@ def _doubling_row(level, q, cfg, span):
         return mean ** (1.0 / q) if mean > 0 else 0.0
 
     grid = _first_grid(cfg, span)
-    value, grid_used, est, steps = stat(level(grid)), grid, math.inf, []
+    value, grid_used, est = stat(level(grid)), grid, math.inf
     while 2 * grid <= cfg.max_grid:
         x = stat(level(2 * grid))
         est = abs(x - value) / max(abs(x), _TINY)
         value = x
-        steps.append((grid, x, est))
         if est <= cfg.rel_tol:
-            return value, grid, est, True, steps
+            return value, grid, est, True
         grid *= 2
         grid_used = grid
-    return value, grid_used, est, False, steps
+    return value, grid_used, est, False
 
 
 def _doubling_lq(level, q, cfg, span):
     """The oracle of the refinement flow: every row of ``level`` refined
     alone by ``_doubling_row``, as the NormResult ``lq_norm_periodic`` gives
-    one ``q`` (floats for one row; for a block, arrays and one step per
-    level with the values and ests of the rows open there)."""
+    one ``q`` (floats for one row, arrays for a block)."""
     first = level(_first_grid(cfg, span))
     if first.ndim == 1:
-        value, grid_used, est, converged, steps = _doubling_row(level, q, cfg, span)
-        return NormResult(value, grid_used, est, converged, tuple(steps))
+        return NormResult(*_doubling_row(level, q, cfg, span))
     shape = first.shape[:-1]
     rows = [_doubling_row(lambda M, i=i: level(M).reshape(-1, M)[i], q, cfg, span)
             for i in range(math.prod(shape))]
-    levels = sorted({g for row in rows for g, _, _ in row[4]})
-    history = tuple((g, [x for row in rows for h, x, _ in row[4] if h == g],
-                     [e for row in rows for h, _, e in row[4] if h == g]) for g in levels)
 
     def field(j):
         return np.array([row[j] for row in rows]).reshape(shape)
 
-    return NormResult(field(0), field(1), field(2), all(row[3] for row in rows), history)
+    return NormResult(field(0), field(1), field(2), all(row[3] for row in rows))
 
 
 def _block_level(builders):
@@ -523,8 +528,7 @@ def test_block_refine_rows_equal_one_row_refinements(seed, width, q, max_grid):
     and convergence of its own one-row refinement, bit for bit: rows that
     converge at different levels, an all-zero row, a rough row, a row that
     never converges (its level halves with every doubling), a block with no
-    rows, at q = inf too: the block's NormResult is the per-row oracle's,
-    history included."""
+    rows, at q = inf too: the block's NormResult is the per-row oracle's."""
     rng = np.random.default_rng(seed)
     cfg = QuadratureConfig(initial_grid=16, max_grid=max_grid, rel_tol=1e-10)
     builders = [WeightSampler(random_sequence_draw(rng, max_window=8)).on_grid
@@ -558,12 +562,12 @@ def test_block_powers_taken_a_few_rows_at_a_time_keep_the_bits(monkeypatch, chun
 
 
 def _same_result(got, want):
-    """Two NormResults with the same bits in every field, history too."""
+    """Two NormResults with the same bits in every field."""
     fields = ("value", "grid_used", "est_rel_error")
     return (all(type(getattr(got, f)) is type(getattr(want, f))
                 and np.asarray(getattr(got, f)).tobytes() == np.asarray(getattr(want, f)).tobytes()
                 for f in fields)
-            and got.converged == want.converged and repr(got.history) == repr(want.history))
+            and got.converged == want.converged)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4),
@@ -635,14 +639,15 @@ def test_block_statistic_sees_only_open_rows_after_level_two(monkeypatch):
 
     res = _refine(_block_level(rows), statistic, cfg, 0, 1)
     assert [n for n, _ in seen] == [2, 2] + [1] * (len(seen) - 2) and len(seen) == 9
-    assert res.grid_used.tolist() == [[4], [2**10]] and res.converged is False
+    col = res.columns[0]
+    assert col.grid_used.tolist() == [4, 2**10] and res.converged is False
 
     seen.clear()
     monkeypatch.setattr(spectral_norms, "_STAT_CHUNK", 6)
-    chunked = _refine(_block_level(rows), statistic, cfg, 0, 1)
+    chunked = _refine(_block_level(rows), statistic, cfg, 0, 1).columns[0]
     assert all(n <= max(1, 6 // M) for n, M in seen) and len(seen) > 9
-    assert chunked.value.tobytes() == res.value.tobytes()
-    assert chunked.grid_used.tolist() == res.grid_used.tolist()
+    assert chunked.value.tobytes() == col.value.tobytes()
+    assert chunked.grid_used.tolist() == col.grid_used.tolist()
 
 
 def test_block_refine_rejects_a_level_of_the_wrong_shape():
@@ -669,10 +674,14 @@ def test_first_grid_floor():
     assert _first_grid(QuadratureConfig(initial_grid=256, max_grid=1024), 512) == 1024
 
 
-def test_parseval_starts_above_the_alias_floor(quad):
+def test_parseval_starts_above_the_alias_floor(quad, monkeypatch):
     """Two entries 600 apart: the first levels below 1201 points alias
-    the band of log|a|^2; the integral still meets the sequence side."""
+    the band of log|a|^2, so the coarsest level the refinement asks for is
+    2048; the integral still meets the sequence side."""
+    asked, logsq = [], WeightSampler.logsq_on_grid
+    monkeypatch.setattr(WeightSampler, "logsq_on_grid",
+                        lambda self, grid: asked.append(grid) or logsq(self, grid))
     seq = CoefficientSequence(0, (0.4,) + (0j,) * 599 + (0.3j,))
     residual, res = parseval_residual(seq, quad)
-    assert res.history[0][0] >= 2048
+    assert min(asked) == 2048 and res.converged
     assert abs(residual) <= 1e-9
