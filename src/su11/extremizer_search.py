@@ -140,8 +140,8 @@ class _WalkEvaluator:
     block, whose levels ``_lhs_on_grid`` builds like any other
     (``_refined_level``): ``_refine`` asks first for the batch grid, folded
     whole with the phase table, whose even columns are the M level; a level
-    past it folds the new odd points of every row, and ``_refine`` reduces
-    the open ones.  ``ratio(vals)`` is the one-row case of ``ratios``.
+    past it folds the new odd points of the rows ``_refine`` still has open.
+    ``ratio(vals)`` is the one-row case of ``ratios``.
     Every row is bit-identical to folding and refining its candidate alone.
     Nothing is kept between calls.  The walk's final answer is always
     re-certified through hy_ratio at full tolerance.
@@ -164,7 +164,8 @@ class _WalkEvaluator:
         block = np.array(cands)
         live = np.flatnonzero(np.any(block != 0, axis=1))
         rows, levels = block[live], {}
-        norm = lq_norm_periodic(lambda grid: self._lhs_on_grid(rows, grid, levels),
+        norm = lq_norm_periodic(lambda grid, open_rows=None:
+                                self._lhs_on_grid(rows, grid, levels, open_rows),
                                 self.q, self.quad, self.span)
         lhs = dict(zip(live.tolist(), norm.value.tolist()))
         for i, cand in enumerate(cands):
@@ -180,19 +181,22 @@ class _WalkEvaluator:
         weights = [math.sqrt(_log_a_sq(abs(v))) for v in vals if v != 0]
         return float(np.sum(np.asarray(weights) ** self.p)) ** (1.0 / self.p)
 
-    def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict) -> np.ndarray:
+    def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict,
+                     rows: list | None = None) -> np.ndarray:
         """The weight (log|a|^2)^(1/2) of the candidates ``vals`` (one per
         row, or one candidate) at the points j / grid, from ``levels`` or
-        built into it; the batch grid folds with the phase table."""
+        built into it; ``rows`` picks some rows of the block, one row each
+        (``_refined_level``).  The batch grid folds with the phase table."""
         block = vals.reshape(-1, vals.shape[-1])
 
-        def fresh(ts, at):
+        def fresh(ts, at, rows):
             phase = self._phase.__getitem__ if at == (self._grid, False) else (
                 lambda k: _grid_phases(self.offset + k, *at))
-            _, b = _fold_rows(block, phase, ts.size)
-            return np.sqrt(np.log1p(np.abs(b) ** 2)).reshape(vals.shape[:-1] + ts.shape)
+            _, b = _fold_rows(block if rows is None else block[rows], phase, ts.size)
+            shape = vals.shape[:-1] if rows is None else (len(rows),)
+            return np.sqrt(np.log1p(np.abs(b) ** 2)).reshape(shape + ts.shape)
 
-        return _refined_level(levels, grid, fresh)
+        return _refined_level(levels, grid, fresh, rows)
 
 
 def local_search(

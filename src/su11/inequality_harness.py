@@ -235,7 +235,7 @@ def hy_ratio(
     _require_nonzero(seq)
     sampler = _sampler_for(seq, sampler, exponents)
     lhs = sampler.norm(sampler.on_grid, exponents.q, cfg)
-    rhs = lp_sequence_norm(sampler.weights, exponents.p)
+    rhs = sampler.lp("weights", exponents.p)
     return HyReport(
         exponents=exponents,
         lhs=lhs,
@@ -315,9 +315,9 @@ def condition_check(
     ``sampler`` (built for ``seq``, else ValueError) supplies the moduli."""
     _require_nonzero(seq)
     alpha, delta = alpha_delta(cc)
-    mods = _sampler_for(seq, sampler, exponents).mods
-    l1 = float(np.sum(mods))
-    ratio = lp_sequence_norm(mods, math.inf) / lp_sequence_norm(mods, exponents.p)
+    sampler = _sampler_for(seq, sampler, exponents)
+    l1 = float(np.sum(sampler.mods))
+    ratio = sampler.lp("mods", math.inf) / sampler.lp("mods", exponents.p)
     rhs = delta * (1.0 - ratio) ** alpha
     margin = rhs - l1
     return ConditionCheck(margin >= 0.0, margin, l1, rhs, alpha, delta)
@@ -376,32 +376,49 @@ class _TraceGrids:
     The levels do not depend on the exponent: one instance lives on the
     sequence's WeightSampler and serves the ledger at every p, and a level
     of 2M points is built from the cached M-point level (see
-    ``_refined_level``).  Nor does link L3, kept per ``t_samples`` in
-    ``l3``.
+    ``_refined_level``).  Past the first doubling ``level(M, rows)`` builds
+    and caches the flat rows ``rows`` of the (2, rows) block alone, the
+    ones ``_refine`` still has open, each by the arithmetic of the whole
+    level.  Nor does link L3 depend on the exponent, kept per ``t_samples``
+    in ``l3``.
     """
 
     def __init__(self, seq: CoefficientSequence):
         window = seq.window_entries()
         self.entries = [(n, v) for n, v in window if v != 0]
         self.row_of = np.cumsum([0] + [v != 0 for _, v in window])
-        self._cache: dict[int, np.ndarray] = {}
+        self._cache: dict[int, tuple] = {}  # see _refined_level
         self.l3: dict[int, LedgerEntry] = {}
 
-    def level(self, grid_size: int) -> np.ndarray:
-        return _refined_level(self._cache, grid_size, self._rows)
+    def level(self, grid_size: int, rows: list | None = None) -> np.ndarray:
+        return _refined_level(self._cache, grid_size, self._rows, rows)
 
-    def _rows(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
-        """The rows at the points ``ts`` of the grid level ``grid = (M, odd)``,
-        whose phases are gathered (``_grid_phases``).
+    def _rows(self, ts: np.ndarray, grid: tuple[int, bool], rows: list | None) -> np.ndarray:
+        """The flat rows ``rows`` of the (2, rows) level (None: all of it,
+        in that shape) at the points ``ts`` of the grid level
+        ``grid = (M, odd)``, whose phases are gathered (``_grid_phases``).
 
-        The reduced step is ``ra + rb conj(v) conj(e)`` and
-        ``(rb + v e) + ra v e``, with ``v e`` shared with ``lin``; every
-        product and sum is written into preallocated arrays in that order,
-        so the rows carry the bits of the plain expressions."""
-        out = np.zeros((2, len(self.entries) + 1, ts.size))
+        The recurrence runs only through the deepest requested row, and
+        ``lin`` only through the deepest requested ``_LIN`` row.  The reduced
+        step is ``ra + rb conj(v) conj(e)`` and ``(rb + v e) + ra v e``, with
+        ``v e`` shared with ``lin``; every product and sum is written into
+        preallocated arrays in that order, so the rows carry the bits of the
+        plain expressions."""
+        size = len(self.entries) + 1
+        if rows is None:
+            out = np.zeros((2, size, ts.size))
+            rows = range(2 * size)
+        else:
+            out = np.zeros((len(rows), ts.size))
+        flat = out.reshape(-1, ts.size)
+        red_at, lin_at = {}, {}  # step k -> its row of ``flat``
+        for i, r in enumerate(rows):
+            side, k = divmod(r, size)
+            (lin_at if side == _LIN else red_at)[k] = i
+        depth, lin_depth = max(red_at | lin_at, default=0), max(lin_at, default=0)
         ra, rb, lin, ve, ce, t1, t2 = np.zeros((7, ts.size), dtype=complex)
         mod = np.empty(ts.size)
-        for k, (n, v) in enumerate(self.entries, start=1):
+        for k, (n, v) in enumerate(self.entries[:depth], start=1):
             e = _grid_phases(n, *grid)
             np.multiply(v, e, out=ve)
             np.multiply(rb, np.conj(v), out=t1)
@@ -411,11 +428,14 @@ class _TraceGrids:
             np.add(ra, t1, out=ra)
             np.add(rb, ve, out=rb)
             np.add(rb, t2, out=rb)
-            np.add(lin, ve, out=lin)
-            red = out[_RED, k]
-            np.abs(ra, out=red)
-            red += np.abs(rb, out=mod)
-            np.abs(lin, out=out[_LIN, k])
+            if k <= lin_depth:
+                np.add(lin, ve, out=lin)
+            if k in red_at:
+                red = flat[red_at[k]]
+                np.abs(ra, out=red)
+                red += np.abs(rb, out=mod)
+            if k in lin_at:
+                np.abs(lin, out=flat[lin_at[k]])
         return out
 
 
@@ -482,8 +502,8 @@ def proof_ledger(
     sampler = _sampler_for(seq, sampler, exponents)
     mods = sampler.mods
     l1 = float(np.sum(mods))
-    lp_f = lp_sequence_norm(mods, p)
-    lp_w = lp_sequence_norm(sampler.weights, p)
+    lp_f = sampler.lp("mods", p)
+    lp_w = sampler.lp("weights", p)
     prod_a = math.exp(0.5 * float(sum(sampler.log_a_sq)))
     if sampler.trace_grids is None:
         sampler.trace_grids = _TraceGrids(seq)

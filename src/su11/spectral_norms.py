@@ -88,31 +88,55 @@ class NormResult:
 # sampling helpers
 
 
-def _refined_level(cache: dict, grid_size: int, fresh) -> np.ndarray:
-    """``cache[grid_size]``, computed on a miss from ``fresh(ts, grid)``.
+def _held(entry, rows):
+    """The samples of ``rows`` in a cached ``(held rows, samples)`` entry, or
+    None if it does not hold them all.  ``None`` stands for every row: the
+    whole level, in its own shape; a sorted list of flat rows gives their
+    samples, one row each."""
+    held, samples = entry
+    if held is None:
+        return samples if rows is None else samples.reshape(-1, samples.shape[-1])[rows]
+    if rows is not None and set(rows) <= set(held):
+        return samples if held == rows else samples[np.searchsorted(held, rows)]
+    return None
 
-    ``fresh`` maps an array of points t to samples whose last axis runs over
-    t; ``grid = (grid_size, odd)`` names those points as the grid level (see
-    ``nft_core._grid_phases``).  The even points 2j / grid_size and
-    j / (grid_size / 2) round to the same double, so a level evaluated
-    whole also caches its even points as the half level, and when the half
-    level is cached only the odd points (2j + 1) / grid_size are evaluated
-    and interleaved with it.
+
+def _refined_level(cache: dict, grid_size: int, fresh, rows: list | None = None) -> np.ndarray:
+    """The grid level ``grid_size`` of the sorted flat rows ``rows`` (None:
+    the whole level), from ``cache`` or computed into it by
+    ``fresh(ts, grid, rows)``.
+
+    ``fresh`` maps an array of points t to the samples of ``rows``, whose
+    last axis runs over t; ``grid = (grid_size, odd)`` names those points as
+    the grid level (see ``nft_core._grid_phases``).  ``cache`` maps a level
+    to the rows it holds and their samples, and never serves a row it does
+    not hold.  The even points 2j / grid_size and j / (grid_size / 2) round
+    to the same double, so a level evaluated whole also caches its even
+    points as the whole half level, and when the half level is cached only
+    the odd points (2j + 1) / grid_size are evaluated and interleaved with
+    it.  The half level of a few rows is itself built the same way, so a
+    row the cache lacks is rebuilt from the whole first levels; a level it
+    cannot build from its half is evaluated at every point.
     """
-    out = cache.get(grid_size)
-    if out is None:
-        half = cache.get(grid_size // 2) if grid_size % 2 == 0 else None
-        if half is None:
-            out = fresh(np.arange(grid_size, dtype=float) / grid_size, (grid_size, False))
-            if grid_size % 2 == 0:
-                cache[grid_size // 2] = np.ascontiguousarray(out[..., ::2])
-        else:
-            odd = fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size,
-                        (grid_size, True))
-            out = np.empty(half.shape[:-1] + (grid_size,), dtype=half.dtype)
-            out[..., 0::2] = half
-            out[..., 1::2] = odd
-        cache[grid_size] = out
+    entry = cache.get(grid_size)
+    out = None if entry is None else _held(entry, rows)
+    if out is not None:
+        return out
+    half = None
+    if grid_size % 2 == 0 and grid_size // 2 in cache:
+        half = (_held(cache[grid_size // 2], None) if rows is None
+                else _refined_level(cache, grid_size // 2, fresh, rows))
+    if half is None:
+        out = fresh(np.arange(grid_size, dtype=float) / grid_size, (grid_size, False), rows)
+        if rows is None and grid_size % 2 == 0:
+            cache[grid_size // 2] = (None, np.ascontiguousarray(out[..., ::2]))
+    else:
+        odd = fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size,
+                    (grid_size, True), rows)
+        out = np.empty(half.shape[:-1] + (grid_size,), dtype=half.dtype)
+        out[..., 0::2] = half
+        out[..., 1::2] = odd
+    cache[grid_size] = (rows, out)
     return out
 
 
@@ -122,17 +146,19 @@ class WeightSampler:
 
     One instance per sequence is shared by everything that samples it: the
     quadratures at every exponent, the theorem margins and the proof ledger,
-    which keeps its row levels here too (``trace_grids``).  Each grid level is
-    therefore evaluated once per sequence, and a level of 2M points is built
-    from the cached M-point level by evaluating only the M new odd points.
-    ``span`` (``N_max - N_min``) sets the first level of a refinement.
+    which keeps its row levels here too (``trace_grids``).  Each grid level of
+    a one-row function is therefore evaluated once per sequence, and a level
+    of 2M points is built from the cached M-point level by evaluating only
+    the M new odd points (``_refined_level``; the ledger's levels past the
+    first doubling hold its open rows alone).  ``span`` (``N_max - N_min``)
+    sets the first level of a refinement.
 
     The norms are shared too (``norm``): the sampler is built with the
     exponents ``ps`` it serves, and the first norm asked of a level
     function refines it at all of them in one refinement.  So are the
     sequence side's scalars: the window moduli ``mods`` (|F_n|), their
     ``log_a_sq`` (log A_n^2) and the weights W_n = (log A_n^2)^(1/2), which
-    always dominate |F_n| entrywise.
+    always dominate |F_n| entrywise, with their lp norms per ``p`` (``lp``).
     """
 
     def __init__(self, seq: CoefficientSequence, ps: tuple[float, ...] = ()):
@@ -143,9 +169,10 @@ class WeightSampler:
         self.log_a_sq = [_log_a_sq(m) for m in self.mods]
         self.weights = np.sqrt(self.log_a_sq)
         self.qs = tuple(ExponentPair(p).q for p in ps)
-        self._b_abs: dict[int, np.ndarray] = {}
+        self._b_abs: dict[int, tuple] = {}  # see _refined_level
         self._logsq: dict[int, np.ndarray] = {}
         self._norms: dict[tuple, dict[float, NormResult]] = {}
+        self._lp: dict[tuple[str, float], float] = {}
         self.trace_grids = None  # set by proof_ledger on first use
 
     def norm(self, level, q: float, cfg: QuadratureConfig) -> NormResult:
@@ -163,7 +190,16 @@ class WeightSampler:
             memo.update(zip(qs, lq_norm_periodic(level, qs, cfg, self.span)))
         return memo[q]
 
-    def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
+    def lp(self, side: str, p: float) -> float:
+        """``lp_sequence_norm`` of the sequence side ``side`` (``"mods"`` or
+        ``"weights"``), memoized per ``p``."""
+        out = self._lp.get((side, p))
+        if out is None:
+            out = self._lp[side, p] = lp_sequence_norm(getattr(self, side), p)
+        return out
+
+    def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool], rows=None) -> np.ndarray:
+        # one row: ``_refine`` never asks a one-row level for ``rows``
         return np.abs(product_on_grid_arrays(self.seq, ts, grid)[1])
 
     def logsq_on_grid(self, grid_size: int) -> np.ndarray:
@@ -178,7 +214,7 @@ class WeightSampler:
 
     def b_abs_on_grid(self, grid_size: int) -> np.ndarray:
         self.logsq_on_grid(grid_size)  # builds both levels together
-        return self._b_abs[grid_size]
+        return self._b_abs[grid_size][1]
 
     def on_grid(self, grid_size: int) -> np.ndarray:
         return np.sqrt(self.logsq_on_grid(grid_size))
@@ -207,52 +243,57 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     cell by cell, from the first level ``_first_grid(cfg, span)``.
 
     ``level(M)`` returns the samples at t = j / M, of shape (..., M): one
-    row or a block, whole at every level, with the first level's leading
-    shape; anything else raises TypeError, so a function of t passed by
-    mistake fails instead of yielding a wrong norm.  A row holds ``columns``
-    cells (one per exponent, say), and ``statistic(block, cols)`` maps
-    (rows, M) to the (rows, len(cols)) values of the columns ``cols``, as
-    one row-major list of Python floats, each independent of the other rows
-    and columns.
+    row or a block, with the first level's leading shape; anything else
+    raises TypeError, so a function of t passed by mistake fails instead of
+    yielding a wrong norm.  Once a row of a block has closed, each later
+    level is asked for the rows with an open cell alone: ``level(M, rows)``
+    takes their sorted flat indices and returns their samples, of shape
+    (len(rows), M).  So a one-row level is never asked for ``rows``.  A row
+    holds ``columns`` cells (one per exponent, say), and
+    ``statistic(block, cols)`` maps (rows, M) to the (rows, len(cols))
+    values of the columns ``cols``, as one row-major list of Python floats,
+    each independent of the other rows and columns.
 
     One loop runs over the open cells ``row * columns + k``.  Each cell
     freezes at its own first converged level, with the bits it gets alone;
-    a level reduces the rows with an open cell over the columns open in
-    some row, ``_STAT_CHUNK`` samples (or one row) per call, and a level
-    whose rows are all open and fit one chunk goes uncopied.  Column k's
-    NormResult is the one its statistic's column gets refined alone: floats
-    for one row, arrays of the block's leading shape for a block, converged
-    unless one of its cells is still open.  Every torus norm runs through
-    this loop.  The first doubling's level is asked for before the first
-    level, so a level function built on ``_refined_level`` samples both in
-    one evaluation.
+    a level is reduced over the columns open in some row, ``_STAT_CHUNK``
+    samples (or one row) per call, and a level whose rows fit one chunk
+    goes uncopied.  Column k's NormResult is the one its statistic's column
+    gets refined alone: floats for one row, arrays of the block's leading
+    shape for a block, converged unless one of its cells is still open.
+    Every torus norm runs through this loop.  The first doubling's level is
+    asked for, whole, before the first level, so a level function built on
+    ``_refined_level`` samples both in one evaluation.
     """
 
     def reduce(samples, grid: int, rows: list, cols: list) -> list:
-        if not isinstance(samples, np.ndarray) or samples.shape != shape + (grid,):
-            raise TypeError(f"level({grid}) must return an array of shape {shape + (grid,)}")
+        want = shape + (grid,) if len(rows) == n_rows else (len(rows), grid)
+        if not isinstance(samples, np.ndarray) or samples.shape != want:
+            raise TypeError(f"level({grid}) must return an array of shape {want}")
         block = samples.reshape(-1, grid)
         chunk = max(1, _STAT_CHUNK // grid)
-        if len(rows) == len(block) <= chunk:
+        if len(rows) <= chunk:
             return statistic(block, cols)
         return [x for i in range(0, len(rows), chunk)
-                for x in statistic(block[rows[i:i + chunk]], cols)]
+                for x in statistic(block[i:i + chunk], cols)]
 
     grid = _first_grid(cfg, span)
     ahead = [level(2 * grid)] if 2 * grid <= cfg.max_grid else []
     first = level(grid)
     shape = first.shape[:-1] if isinstance(first, np.ndarray) else ()
-    K = columns
+    n_rows, K = math.prod(shape), columns
     # Python floats per cell: a numpy call per field and level costs more.
     # ``cells`` are the open ones in order, ``rows`` and ``cols`` the rows and
     # columns they span
-    rows, cols = list(range(math.prod(shape))), list(range(K))
+    rows, cols = list(range(n_rows)), list(range(K))
     value = reduce(first, grid, rows, cols)
     cells = list(range(len(value)))
     grid_used, est = [grid] * len(value), [math.inf] * len(value)
     history = []
     while cells and 2 * grid <= cfg.max_grid:
-        nxt = reduce(ahead.pop() if ahead else level(2 * grid), 2 * grid, rows, cols)
+        samples = (ahead.pop() if ahead else level(2 * grid) if len(rows) == n_rows
+                   else level(2 * grid, rows))
+        nxt = reduce(samples, 2 * grid, rows, cols)
         if len(nxt) > len(cells):  # the rows x cols values hold closed cells too
             at = {r * K + k: i for i, (r, k) in enumerate(itertools.product(rows, cols))}
             nxt = [nxt[at[c]] for c in cells]

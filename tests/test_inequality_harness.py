@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -254,6 +256,103 @@ def test_trace_levels_from_odd_points_match_fresh_evaluation(width):
             grid *= 2
 
 
+@pytest.mark.parametrize("width", [5, 24])
+def test_a_level_cached_for_some_rows_serves_no_other_row(width):
+    """A level cached for a few rows never serves a row it does not hold:
+    after rows {1, 3} at M, the whole level at M and 2M, and after the
+    whole first levels and rows {1, 3} past them, other rows there (a LIN
+    row among them) and the whole next level all equal the whole level
+    built afresh, byte for byte."""
+    seq = sequence_of_width(width)
+    whole = {M: _TraceGrids(seq).level(M).reshape(-1, M) for M in (64, 128, 256, 512)}
+    grids = _TraceGrids(seq)
+    assert grids.level(64, [1, 3]).tobytes() == whole[64][[1, 3]].tobytes()
+    assert grids.level(64).reshape(-1, 64).tobytes() == whole[64].tobytes()
+    assert grids.level(128).reshape(-1, 128).tobytes() == whole[128].tobytes()
+
+    grids = _TraceGrids(seq)
+    grids.level(128), grids.level(64)
+    assert grids.level(256, [1, 3]).tobytes() == whole[256][[1, 3]].tobytes()
+    rows = [0, 2, 3, width + 2]
+    assert grids.level(256, rows).tobytes() == whole[256][rows].tobytes()
+    assert grids.level(512, [3]).tobytes() == whole[512][[3]].tobytes()
+    assert grids.level(512).reshape(-1, 512).tobytes() == whole[512].tobytes()
+
+
+class _CountingNumpy:
+    """numpy, with its ``abs`` and ``add`` calls counted into ``count``."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, *args, **kwargs):
+        self.count["abs"] += 1
+        return np.abs(*args, **kwargs)
+
+    def add(self, *args, **kwargs):
+        self.count["add"] += 1
+        return np.add(*args, **kwargs)
+
+
+def test_a_ledger_block_builds_and_steps_only_its_open_rows(monkeypatch):
+    """Work count on a theorem2 ledger block at three exponents.  Past the
+    first doubling the level function is asked only for the flat rows with
+    an open cell (the rows its NormResults say were still refining), and
+    whole only while every row is open.  Each ``_rows`` call steps no entry
+    past its deepest requested row, accumulates ``lin`` no further than its
+    deepest LIN row, and takes |ra| + |rb| or |lin| for its requested rows
+    alone."""
+    seq = condition9_draw(np.random.default_rng(20260808), 1.5, PLACEHOLDER_CC)
+    grids, cfg, span = _TraceGrids(seq), QuadratureConfig(), WeightSampler(seq).span
+    size = len(grids.entries) + 1
+    asked, built = [], []
+    level, trace_rows = _TraceGrids.level, _TraceGrids._rows
+
+    def level_spy(self, M, rows=None):
+        asked.append((M, rows))
+        return level(self, M, rows)
+
+    def rows_spy(self, ts, grid, rows):
+        count = {"phase": 0, "abs": 0, "add": 0}
+
+        def phases(*args):
+            count["phase"] += 1
+            return _grid_phases(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(inequality_harness, "_grid_phases", phases)
+            m.setattr(inequality_harness, "np", _CountingNumpy(count))
+            out = trace_rows(self, ts, grid, rows)
+        built.append((rows, count, out.shape))
+        return out
+
+    monkeypatch.setattr(_TraceGrids, "level", level_spy)
+    monkeypatch.setattr(_TraceGrids, "_rows", rows_spy)
+    qs = tuple(ExponentPair(p).q for p in (1.1, 1.3, 1.5))
+    norms = lq_norm_periodic(grids.level, qs, cfg, span)
+
+    first = _first_grid(cfg, span)
+    assert asked[:2] == [(2 * first, None), (first, None)]
+    used = np.max([norm.grid_used.ravel() for norm in norms], axis=0)
+    for M, rows in asked[2:]:
+        still = np.flatnonzero(used >= M // 2).tolist()
+        assert rows == (None if len(still) == 2 * size else still), M
+    assert any(rows is not None for _, rows in asked)
+    assert len(built) == len(asked) - 1  # the first level is the batch's even points
+    for rows, count, shape in built:
+        flat = range(2 * size) if rows is None else rows
+        red = [r for r in flat if r < size and r > 0]
+        lin = [r - size for r in flat if r > size]
+        depth, lin_depth = max(red + lin, default=0), max(lin, default=0)
+        assert shape == ((2, size) if rows is None else (len(rows),)) + shape[-1:]
+        assert count["phase"] == depth
+        assert count["add"] == 3 * depth + lin_depth
+        assert count["abs"] == 2 * len(red) + len(lin)
+
+
 def _exp_path_phases(n, grid, odd=False):
     """A grid level's phase row by ``exp``, never gathered."""
     return _phases(n, (np.arange(1, grid, 2) if odd else np.arange(grid)) / grid)
@@ -274,7 +373,7 @@ def test_grid_levels_gather_matches_exp_path_bytewise(width, monkeypatch):
             assert sampler.b_abs_on_grid(grid).tobytes() == b_abs.tobytes()
             with monkeypatch.context() as m:
                 m.setattr(inequality_harness, "_grid_phases", _exp_path_phases)
-                by_exp = _TraceGrids(seq)._rows(ts, (grid, False))
+                by_exp = _TraceGrids(seq)._rows(ts, (grid, False), None)
             assert grids.level(grid).tobytes() == by_exp.tobytes()
             grid *= 2
 
@@ -402,7 +501,7 @@ class _DenseTraceGrids(_TraceGrids):
         self.entries = seq.window_entries()
         self.row_of = np.arange(len(self.entries) + 1)
 
-    def _rows(self, ts, grid):
+    def _rows(self, ts, grid, rows):
         out = np.zeros((2, len(self.entries) + 1, ts.size))
         ra = np.zeros(ts.size, dtype=complex)
         rb = np.zeros(ts.size, dtype=complex)
@@ -413,7 +512,7 @@ class _DenseTraceGrids(_TraceGrids):
             lin = lin + v * e
             out[0, k] = np.abs(ra) + np.abs(rb)
             out[1, k] = np.abs(lin)
-        return out
+        return out if rows is None else out.reshape(-1, ts.size)[rows]
 
 
 def _interior_zeros(rng):
@@ -458,6 +557,36 @@ def test_ledger_with_distinct_rows_matches_dense_rows(quad):
         assert _nan_safe(got) == _nan_safe(want), (seq, p)
         l8_evaluated |= not _by_id(got)["L8"].precondition_failed
     assert l8_evaluated
+
+
+# sha256 of ``json.dumps(report, sort_keys=True)``, taken before the ledger's
+# levels were built for their open rows only; every speed-up since must keep
+# these bits, and they move only when the bench reference is regenerated
+REPORT_SHA256 = {
+    "theorem2_suite(n_draws=30)":
+        "ee60ec29a8bd209d232b567e29596036d81a986969d7d881949b49950c91c35e",
+    "theorem1_suite(n_draws=20, with_ledger=True)":
+        "f5e8a5ef22efb0aa470698117008cb06ac0b0a24b749b0181d2829d79eb58918",
+    "proof_ledger(8 entries 0.06 64 apart, p 1.9)":
+        "10670e12978cb1a4b4a42ca920e7cf9c56b9156f6b0df55143d2af94621c45f9",
+}
+
+
+def test_reports_keep_their_pinned_bytes():
+    """The theorem suites with their ledgers at seed 20260808 and the ledger
+    of a sparse input whose rows refine to ``max_grid`` keep their bytes."""
+    sparse = CoefficientSequence(0, ((0.06,) + (0,) * 63) * 7 + (0.06,))
+    reports = {
+        "theorem2_suite(n_draws=30)": theorem2_suite(n_draws=30, seed=20260808).to_dict(),
+        "theorem1_suite(n_draws=20, with_ledger=True)":
+            theorem1_suite(n_draws=20, seed=20260808, with_ledger=True).to_dict(),
+        "proof_ledger(8 entries 0.06 64 apart, p 1.9)":
+            [e.to_dict() for e in proof_ledger(sparse, ExponentPair(1.9), PLACEHOLDER_CC,
+                                               QuadratureConfig())],
+    }
+    digests = {name: hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+               for name, rep in reports.items()}
+    assert digests == REPORT_SHA256
 
 
 # F = 0.2 at n = 0 and n = 512: grid levels below 1025 points alias |b|^2

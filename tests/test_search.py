@@ -82,9 +82,9 @@ def _level_spy(calls):
     as (candidates, grid, served from the cache, level)."""
     original = _WalkEvaluator._lhs_on_grid
 
-    def spy(self, vals, grid, levels):
+    def spy(self, vals, grid, levels, rows=None):
         cached = grid in levels
-        out = original(self, vals, grid, levels)
+        out = original(self, vals, grid, levels, rows)
         calls.append((vals, grid, cached, out))
         return out
 
@@ -151,7 +151,8 @@ def test_batched_ratio_with_a_third_level_matches_one_row_ratio():
 def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
     """The batch grid is the one level folded whole, and serves the first
     level; a level of M points past it folds only its M // 2 new odd
-    points, the even ones being the cached half level."""
+    points, the even ones being the cached half level, and only for the
+    candidates still open."""
     calls, folded = [], []
     original_fold = extremizer_search._fold_rows
 
@@ -167,8 +168,9 @@ def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
     first = _first_grid(quad, 5)
     assert [(grid, cached) for _, grid, cached, _ in calls[:2]] == [
         (2 * first, False), (first, True)]
-    past = [grid for _, grid, cached, _ in calls[2:] if not cached]
-    assert past and folded == [(4, 2 * first)] + [(4, grid // 2) for grid in past]
+    past = [(len(out), grid // 2) for _, grid, cached, out in calls[2:] if not cached]
+    assert past and folded == [(4, 2 * first)] + past
+    assert past[-1][0] < 4  # a closed candidate is folded no further
 
 
 def _one_at_a_time_walk(start, exponents, cfg):
@@ -437,9 +439,9 @@ def test_walk_starts_at_the_configured_initial_grid(monkeypatch):
     grids = []
     original = _WalkEvaluator._lhs_on_grid
 
-    def spy(self, vals, grid, levels):
+    def spy(self, vals, grid, levels, rows=None):
         grids.append(grid)
-        return original(self, vals, grid, levels)
+        return original(self, vals, grid, levels, rows)
 
     monkeypatch.setattr(_WalkEvaluator, "_lhs_on_grid", spy)
     quad = QuadratureConfig(initial_grid=64, max_grid=2**16, rel_tol=1e-8)

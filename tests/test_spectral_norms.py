@@ -256,8 +256,8 @@ def test_a_refinement_samples_its_first_two_levels_in_one_kernel_call(monkeypatc
     product, trace_rows = spectral_norms.product_on_grid_arrays, _TraceGrids._rows
     monkeypatch.setattr(spectral_norms, "product_on_grid_arrays",
                         lambda seq, ts, grid: products.append(grid) or product(seq, ts, grid))
-    monkeypatch.setattr(_TraceGrids, "_rows",
-                        lambda self, ts, grid: rows.append(grid) or trace_rows(self, ts, grid))
+    monkeypatch.setattr(_TraceGrids, "_rows", lambda self, ts, grid, sub:
+                        rows.append(grid) or trace_rows(self, ts, grid, sub))
     seq, cfg = CoefficientSequence(-1, (0.1, 0.05j, 0.02)), QuadratureConfig()
     sampler, grids = WeightSampler(seq), _TraceGrids(seq)
     M = _first_grid(cfg, sampler.span)
@@ -270,7 +270,7 @@ def test_a_refinement_samples_its_first_two_levels_in_one_kernel_call(monkeypatc
         ts = np.arange(grid) / grid
         alone = np.abs(product(seq, ts, (grid, False))[1])
         assert sampler.b_abs_on_grid(grid).tobytes() == alone.tobytes()
-        assert grids.level(grid).tobytes() == trace_rows(grids, ts, (grid, False)).tobytes()
+        assert grids.level(grid).tobytes() == trace_rows(grids, ts, (grid, False), None).tobytes()
     assert products == rows == [(2 * M, False)]
 
 
@@ -507,8 +507,12 @@ def _doubling_lq(level, q, cfg, span):
 
 def _block_level(builders):
     """A grid-level function over a block of rows, one ``builders[i](M)``
-    per row."""
-    return lambda M: np.array([build(M) for build in builders]).reshape(-1, M)
+    per row; ``level(M, rows)`` builds the rows ``rows`` alone."""
+    def level(M, rows=None):
+        picked = builders if rows is None else [builders[r] for r in rows]
+        return np.array([build(M) for build in picked]).reshape(-1, M)
+
+    return level
 
 
 def _same_bits(block, r, one):
@@ -616,7 +620,9 @@ def test_block_refine_keeps_the_leading_shape():
     builders = [WeightSampler(s).on_grid for s in seqs] + [WeightSampler(s).b_abs_on_grid
                                                           for s in seqs]
     flat = _block_level(builders)
-    res = lq_norm_periodic(lambda M: flat(M).reshape(2, 2, M), 3.0, QuadratureConfig(), 2)
+    res = lq_norm_periodic(
+        lambda M, rows=None: flat(M).reshape(2, 2, M) if rows is None else flat(M, rows),
+        3.0, QuadratureConfig(), 2)
     assert res.value.shape == res.grid_used.shape == res.est_rel_error.shape == (2, 2)
     ones = [lq_norm_periodic(build, 3.0, QuadratureConfig(), 2)
             for build in builders]
