@@ -16,17 +16,14 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ZeroSequenceError
-from .nft_core import (
-    CoefficientSequence, sequence_to_text, _fold_rows, _grid_phases, _log_a_sq,
-)
+from .nft_core import CoefficientSequence, sequence_to_text, _grid_phases, _log_a_sq
 from .spectral_norms import (
-    ExponentPair, QuadratureConfig, _first_grid, _refined_level, lq_norm_periodic,
+    ExponentPair, QuadratureConfig, _first_grid, _logsq_level, lq_norm_periodic,
 )
 from .inequality_harness import hy_ratio
 
@@ -132,9 +129,10 @@ class _WalkEvaluator:
 
     The torus side refines through ``lq_norm_periodic`` at the walk's
     tolerance ``quad``, like every other norm, with the window's span.  The
-    level function is the walk's own: every candidate shares the window, so
-    the phase rows of the batch grid, twice the first level M, are gathered
-    once (``nft_core._grid_phases``).
+    level function is the parseval suite's (``spectral_norms._logsq_level``)
+    under a square root; every candidate shares the window, so the phase
+    rows of the batch grid, twice the first level M, are gathered once
+    (``nft_core._grid_phases``).
 
     ``ratios(cands)`` refines the candidates one coordinate tries as one
     block, whose levels ``_lhs_on_grid`` builds like any other
@@ -184,19 +182,11 @@ class _WalkEvaluator:
     def _lhs_on_grid(self, vals: np.ndarray, grid: int, levels: dict,
                      rows: list | None = None) -> np.ndarray:
         """The weight (log|a|^2)^(1/2) of the candidates ``vals`` (one per
-        row, or one candidate) at the points j / grid, from ``levels`` or
-        built into it; ``rows`` picks some rows of the block, one row each
-        (``_refined_level``).  The batch grid folds with the phase table."""
-        block = vals.reshape(-1, vals.shape[-1])
-
-        def fresh(ts, at, rows):
-            phase = self._phase.__getitem__ if at == (self._grid, False) else (
-                lambda k: _grid_phases(self.offset + k, *at))
-            _, b = _fold_rows(block if rows is None else block[rows], phase, ts.size)
-            shape = vals.shape[:-1] if rows is None else (len(rows),)
-            return np.sqrt(np.log1p(np.abs(b) ** 2)).reshape(shape + ts.shape)
-
-        return _refined_level(levels, grid, fresh, rows)
+        row, or one candidate) at the points j / grid: the square root of
+        their ``_logsq_level``, whose ``levels`` and ``rows`` it takes.  The
+        batch grid folds with the phase table."""
+        return np.sqrt(_logsq_level(vals, self.offset, levels, grid, rows,
+                                    (self._grid, self._phase)))
 
 
 def local_search(
@@ -291,6 +281,8 @@ def multi_start(
     """
     jobs = [(exponents, cfg, i) for i in range(cfg.starts)]
     if workers > 1:
+        # imported here: only a run with more than one worker needs the pool
+        from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_one_start, jobs))

@@ -12,10 +12,11 @@ first row (a, b) is ever stored; the second row is its conjugate.
 
 All functions here are pure; the dataclasses are frozen and safe to share
 across threads.  Every binary64 product in the package, on a grid or at one
-t and in any factor order, runs through one factor step ``_step`` in one of
-two loops, with phase rows from ``_phases``.  Both loops take their
-coefficients (A_n, B_n) from one array kernel ``_factor``, whose every entry
-has the bits of the scalar formula.  ``_fold`` folds one sequence with
+t and in any factor order, runs the one factor step ``_step`` in one of
+two loops (``_fold_rows`` runs its arithmetic in place), with phase rows
+from ``_phases``.  Both loops take their coefficients (A_n, B_n) from one
+array kernel ``_factor``, whose every entry has the bits of the scalar
+formula.  ``_fold`` folds one sequence with
 scalar factors, so ``product_on_grid_arrays(F, ts)`` at ``ts[j]`` and at
 the single point ``ts[j:j + 1]`` agree bit for bit.  ``_fold_rows`` folds
 several sequences at once, one factor column per entry, on phases shared
@@ -272,13 +273,43 @@ def _fold_rows(rows: np.ndarray, phase, grid: int) -> tuple[np.ndarray, np.ndarr
     zero entry is the exact identity factor ``_factor(0) = (1.0, 0j)``,
     whose step returns a and b unchanged but for the sign of a zero part.
     |a| and |b| are bit-identical.
+
+    The step runs in place, in five preallocated buffers, in ``_step``'s
+    order of operations.  Every complex product is written into a buffer
+    that is not one of its operands: numpy multiplies a one-element array
+    written onto itself by its scalar path, which rounds differently.  Only
+    the products by the real A_n and the sums go in place.
     """
     A, B = _factor(rows)
+    cB = np.conj(B)
     a = np.ones((len(rows), grid), dtype=complex)
     b = np.zeros((len(rows), grid), dtype=complex)
+    a2, b2, tmp = np.empty_like(a), np.empty_like(b), np.empty_like(a)
     for k in range(rows.shape[1]):
-        a, b = _step(a, b, A[:, k, None], B[:, k, None], phase(k))
+        e, Ak = phase(k), A[:, k, None]
+        np.multiply(b, cB[:, k, None], out=tmp)
+        np.multiply(tmp, np.conj(e), out=a2)
+        np.add(np.multiply(a, Ak, out=tmp), a2, out=a2)
+        np.multiply(a, B[:, k, None], out=tmp)
+        np.multiply(tmp, e, out=b2)
+        np.add(b2, np.multiply(b, Ak, out=tmp), out=b2)
+        a, b, a2, b2 = a2, b2, a, b
     return a, b
+
+
+def _window_rows(seqs) -> tuple[int, np.ndarray]:
+    """``(lo, rows)``: the sequences zero-padded onto their common index
+    window, entry n of sequence r at ``rows[r, n - lo]``, as ``_fold_rows``
+    takes them.  Leading and trailing zeros are trimmed, and a zero
+    sequence is a zero row."""
+    spans = [seq.support() for seq in seqs]
+    lo = min((s[0] for s in spans if s is not None), default=0)
+    hi = max((s[1] for s in spans if s is not None), default=lo - 1)
+    rows = np.zeros((len(seqs), hi - lo + 1), dtype=complex)
+    for r, (seq, s) in enumerate(zip(seqs, spans)):
+        if s is not None:
+            rows[r, s[0] - lo:s[1] - lo + 1] = seq.values[s[0] - seq.offset:s[1] - seq.offset + 1]
+    return lo, rows
 
 
 def product_on_grid_arrays(

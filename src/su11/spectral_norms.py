@@ -16,11 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasRiskError
-from .nft_core import CoefficientSequence, product_on_grid_arrays, _log_a_sq
+from .nft_core import (
+    CoefficientSequence, product_on_grid_arrays, _fold_rows, _grid_phases, _log_a_sq,
+    _window_rows,
+)
 
 # floor for the denominators of relative errors and margins
 _TINY = 1e-300
 _STAT_CHUNK = 1 << 18  # samples per statistic call of a block (see _refine)
+_PARSEVAL_BLOCK = 32  # sequences per refinement of parseval_residuals
 # a DFT coefficient below this fraction of the peak counts as no signal
 _SUPPORT_REL_THRESHOLD = 1e-9
 
@@ -140,6 +144,29 @@ def _refined_level(cache: dict, grid_size: int, fresh, rows: list | None = None)
     return out
 
 
+def _logsq_level(block: np.ndarray, lo: int, levels: dict, grid: int,
+                 rows: list | None = None, table=None) -> np.ndarray:
+    """log|a|^2 = log(1 + |b|^2) at the points j / grid of the sequences in
+    ``block`` (one per row, entry k at index ``lo + k``; a 1-D block is one
+    sequence), from ``levels`` or built into it (``_refined_level``, whose
+    ``rows`` pick some rows, one row each).
+
+    The samples come from ``_fold_rows`` with ``_grid_phases``; a table
+    ``(M, phase)``, whose row k is ``_grid_phases(lo + k, M)``, serves the
+    whole level M.  Every row has the bits of sampling its sequence alone.
+    """
+    flat = block.reshape(math.prod(block.shape[:-1]), block.shape[-1])
+
+    def fresh(ts, at, rows):
+        phase = table[1].__getitem__ if table and at == (table[0], False) else (
+            lambda k: _grid_phases(lo + k, *at))
+        _, b = _fold_rows(flat if rows is None else flat[rows], phase, ts.size)
+        shape = block.shape[:-1] if rows is None else (len(rows),)
+        return np.log1p(np.abs(b) ** 2).reshape(shape + ts.shape)
+
+    return _refined_level(levels, grid, fresh, rows)
+
+
 class WeightSampler:
     """Cached samples of |b(t)|, log|a(t)|^2 and the torus weight
     (log|a(t)|^2)^(1/2) for one F.
@@ -229,13 +256,18 @@ def _first_grid(cfg: QuadratureConfig, span: int) -> int:
 
 @dataclass(frozen=True)
 class _Refinement:
-    """What ``_refine`` returns: one NormResult per column, ``converged`` if
-    every cell converged, and one (grid, open cells) step per doubling, read
-    only by the bench tracer."""
+    """What ``_refine`` returns: one NormResult per column, the cells
+    ``row * columns + k`` still open at the end, and one (grid, open cells)
+    step per doubling, read only by the bench tracer."""
 
     columns: tuple[NormResult, ...]
-    converged: bool
+    open_cells: tuple[int, ...]
     history: tuple[tuple[int, list], ...]
+
+    @property
+    def converged(self) -> bool:
+        """Every cell converged."""
+        return not self.open_cells
 
 
 def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) -> _Refinement:
@@ -314,7 +346,7 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     for k in range(K):
         at = (..., k) if shape else k
         out.append(NormResult(value[at], grid_used[at], est[at], k not in unconverged))
-    return _Refinement(tuple(out), not cells, tuple(history))
+    return _Refinement(tuple(out), tuple(cells), tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +423,46 @@ def parseval_residual(
 
     The two sides agree identically for every finitely supported sequence;
     the residual measures quadrature and rounding error only, and stays
-    below 1e-9 for well-resolved inputs.
+    below 1e-9 for well-resolved inputs.  This is the one-row case of
+    ``parseval_residuals``.
     """
-    sampler = WeightSampler(seq)
-    integral = _refine(sampler.logsq_on_grid,  # np.mean's bits, see lq_norm_periodic
-                       lambda b, cols: (np.add.reduce(b, axis=-1) / b.shape[-1]).tolist(),
-                       cfg, sampler.span, 1).columns[0]
-    seq_side = float(sum(sampler.log_a_sq))
-    return integral.value - seq_side, integral
+    return parseval_residuals([seq], cfg)[0]
+
+
+def parseval_residuals(
+    seqs: list[CoefficientSequence], cfg: QuadratureConfig
+) -> list[tuple[float, NormResult]]:
+    """``parseval_residual`` of each sequence, in order.
+
+    The sequences are grouped by their first level (``_first_grid``) and
+    refined ``_PARSEVAL_BLOCK`` at a time: each block is one ``_refine`` of
+    ``_logsq_level`` on the block's common index window, with the mean as
+    its statistic, so past the first doubling only the open rows are
+    sampled.  Each row keeps the value, grid and convergence of its own
+    one-row refinement, bit for bit.
+    """
+    out = [None] * len(seqs)
+    groups: dict[int, list] = {}
+    for i, seq in enumerate(seqs):
+        support = seq.support()
+        span = 0 if support is None else support[1] - support[0]
+        groups.setdefault(_first_grid(cfg, span), []).append((i, span))
+    for members in groups.values():
+        for start in range(0, len(members), _PARSEVAL_BLOCK):
+            chunk = members[start:start + _PARSEVAL_BLOCK]
+            lo, block = _window_rows([seqs[i] for i, _ in chunk])
+            levels = {}
+            ref = _refine(lambda grid, rows=None: _logsq_level(block, lo, levels, grid, rows),
+                          # np.mean's bits, see lq_norm_periodic
+                          lambda b, cols: (np.add.reduce(b, axis=-1) / b.shape[-1]).tolist(),
+                          cfg, max(span for _, span in chunk), 1)
+            col = ref.columns[0]
+            for r, ((i, _), value, grid, est) in enumerate(zip(
+                    chunk, col.value.tolist(), col.grid_used.tolist(),
+                    col.est_rel_error.tolist())):
+                seq_side = float(sum(_log_a_sq(abs(v)) for _, v in seqs[i].window_entries()))
+                out[i] = value - seq_side, NormResult(value, grid, est, r not in ref.open_cells)
+    return out
 
 
 def frequency_support(samples, claimed_bandwidth: int) -> tuple[int, int] | None:

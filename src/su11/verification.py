@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DegenerateFitError
 from .nft_core import (
-    CoefficientSequence, product_on_grid_arrays, _fold, _fold_rows, _phases,
+    CoefficientSequence, product_on_grid_arrays, _fold, _fold_rows, _grid_phases, _phases,
+    _window_rows,
 )
 from .spectral_norms import (
     ExponentPair,
@@ -29,6 +30,7 @@ from .spectral_norms import (
     _TINY,
     frequency_support,
     parseval_residual,
+    parseval_residuals,
 )
 from .inequality_harness import (
     LEDGER_T_SAMPLES,
@@ -45,9 +47,9 @@ from .inequality_harness import (
 
 DEFAULT_SEED = 20260808
 THEOREM1_PS = (1.1, 1.3, 1.5, 1.7, 1.9)
-# draws per batch fold of the membership suite: bounds its memory under a
-# large ``--draws`` (rows of at most 12 entries, one point each)
-_MEMBERSHIP_CHUNK = 4096
+# draws per batch of the membership, parseval and band-check suites: bounds
+# their memory under a large ``--draws`` (rows of at most 12 entries)
+_DRAW_CHUNK = 4096
 # No admissible (c, gamma, eta) is known explicitly: the theorem suites run
 # with this documented placeholder (theorem2_suite also takes another).
 PLACEHOLDER_CC = CCParameters(1.0, 1.0, 1.0)
@@ -154,23 +156,19 @@ def su11_membership_suite(
     """Group constraint and |a| >= 1 at random (F, t):
     ||a|^2 - |b|^2 - 1| <= 1e-10 |a|^2 and |a| >= 1 - 1e-12.
 
-    The draws are folded ``_MEMBERSHIP_CHUNK`` at a time as one
-    ``_fold_rows`` batch, each row zero-padded onto the chunk's common index
-    window and phased at its own ``t``; |a| and |b| are those of its own
+    The draws are folded ``_DRAW_CHUNK`` at a time as one ``_fold_rows``
+    batch, each row zero-padded onto the chunk's common index window and
+    phased at its own ``t``; |a| and |b| are those of its own
     ``product_on_grid_arrays(F, [t])`` bit for bit.
     """
     rng = np.random.default_rng(seed)
     rep = SuiteReport("su11-membership", seed)
-    for start in range(0, n_draws, _MEMBERSHIP_CHUNK):
+    for start in range(0, n_draws, _DRAW_CHUNK):
         draws = []
-        for _ in range(min(_MEMBERSHIP_CHUNK, n_draws - start)):
+        for _ in range(min(_DRAW_CHUNK, n_draws - start)):
             seq = random_window_sequence(rng, 12, 0.9)
             draws.append((seq, float(rng.uniform(0.0, 1.0))))
-        lo = min(seq.offset for seq, _ in draws)
-        width = max(seq.offset + len(seq.values) for seq, _ in draws) - lo
-        rows = np.zeros((len(draws), width), dtype=complex)
-        for r, (seq, _) in enumerate(draws):
-            rows[r, seq.offset - lo:seq.offset - lo + len(seq.values)] = seq.values
+        lo, rows = _window_rows([seq for seq, _ in draws])
         ts = np.array([[t] for _, t in draws])
         a, b = _fold_rows(rows, lambda k: _phases(lo + k, ts), 1)
         for (seq, t), a_r, b_r in zip(draws, a[:, 0].tolist(), b[:, 0].tolist()):
@@ -193,7 +191,9 @@ def parseval_suite(
     """Zero residual of the conservation law, fixture first then draws.
 
     Fixture F0 = F1 = 1/2: both sides equal 2 log(4/3), residual <= 1e-10.
-    Random draws (sup norm <= 0.9, window <= 10): |residual| <= 1e-9.  Two
+    Random draws (sup norm <= 0.9, window <= 10): |residual| <= 1e-9.  The
+    draws are made ``_DRAW_CHUNK`` at a time and refined in blocks
+    (``parseval_residuals``), each with the bits of its own refinement.  Two
     levels can agree on a wrong value, so a draw over the gate is refined
     again from 4x the grid that decided it; a converged re-check under the
     gate reverses the failure, with both residuals in the notes.
@@ -211,23 +211,25 @@ def parseval_suite(
     if abs(res) > 1e-10 or abs(detail.value - both) > 1e-10:
         rep.fail(F=fixture.to_json_dict(), residual=res)
 
-    for i in range(n_draws):
-        seq = random_window_sequence(rng, 10, 0.9)
-        if seq.is_zero():
-            continue
-        res, detail = parseval_residual(seq, cfg)
-        if abs(res) > 1e-9:
-            grid = min(4 * detail.grid_used, 1 << cfg.max_grid.bit_length() - 1)
-            again, check = parseval_residual(
-                seq, QuadratureConfig(grid, cfg.max_grid, cfg.rel_tol))
-            if check.converged and abs(again) <= 1e-9:
-                rep.notes.append(f"draw {i}: residual {res!r} (grid_used {detail.grid_used}) "
-                                 f"re-checked from grid {grid}: {again!r}")
-                res = again
-        rep.n_checked += 1
-        rep.record_worst("abs_residual", abs(res), smaller_is_worse=False)
-        if abs(res) > 1e-9:
-            rep.fail(F=seq.to_json_dict(), residual=res)
+    for start in range(0, n_draws, _DRAW_CHUNK):
+        draws = [(i, random_window_sequence(rng, 10, 0.9))
+                 for i in range(start, min(start + _DRAW_CHUNK, n_draws))]
+        draws = [(i, seq) for i, seq in draws if not seq.is_zero()]
+        residuals = parseval_residuals([seq for _, seq in draws], cfg)
+        for (i, seq), (res, detail) in zip(draws, residuals):
+            if abs(res) > 1e-9:
+                grid = min(4 * detail.grid_used, 1 << cfg.max_grid.bit_length() - 1)
+                again, check = parseval_residual(
+                    seq, QuadratureConfig(grid, cfg.max_grid, cfg.rel_tol))
+                if check.converged and abs(again) <= 1e-9:
+                    rep.notes.append(f"draw {i}: residual {res!r} (grid_used "
+                                     f"{detail.grid_used}) re-checked from grid {grid}: "
+                                     f"{again!r}")
+                    res = again
+            rep.n_checked += 1
+            rep.record_worst("abs_residual", abs(res), smaller_is_worse=False)
+            if abs(res) > 1e-9:
+                rep.fail(F=seq.to_json_dict(), residual=res)
     return rep
 
 
@@ -235,26 +237,40 @@ def frequency_support_suite(
     n_draws: int = 100, seed: int = DEFAULT_SEED
 ) -> SuiteReport:
     """Band structure of a and b: b lives in [N_min, N_max], a in
-    [-(N_max - N_min), 0], out-of-band mass below 1e-9 of the peak."""
+    [-(N_max - N_min), 0], out-of-band mass below 1e-9 of the peak.
+
+    The draws are made ``_DRAW_CHUNK`` at a time, and the draws of a chunk
+    that share a band-check grid are folded on it as one ``_fold_rows``
+    batch, on their common index window; |a| and |b| are those of each
+    draw's own product bit for bit.
+    """
     rng = np.random.default_rng(seed)
     rep = SuiteReport("frequency-support", seed)
-    for _ in range(n_draws):
-        seq = random_window_sequence(rng, 12, 0.9)
-        if seq.is_zero():
-            continue
-        n_min, n_max = seq.support()
-        width = n_max - n_min + 1
-        grid = 1 << max(6, (4 * width + 2 * max(abs(n_min), abs(n_max)) + 2).bit_length())
-        ts = np.arange(grid) / grid
-        a, b = product_on_grid_arrays(seq, ts, (grid, False))
-        band_b = frequency_support(b, claimed_bandwidth=max(abs(n_min), abs(n_max)))
-        band_a = frequency_support(a - 0.0, claimed_bandwidth=width)
-        rep.n_checked += 1
-        ok_b = band_b is not None and band_b[0] >= n_min and band_b[1] <= n_max
-        ok_a = band_a is not None and band_a[0] >= -(n_max - n_min) and band_a[1] <= 0
-        if not (ok_a and ok_b):
-            rep.fail(F=seq.to_json_dict(), band_a=band_a, band_b=band_b,
-                     expected_b=(n_min, n_max))
+    for start in range(0, n_draws, _DRAW_CHUNK):
+        draws = [random_window_sequence(rng, 12, 0.9)
+                 for _ in range(min(_DRAW_CHUNK, n_draws - start))]
+        draws = [seq for seq in draws if not seq.is_zero()]
+        groups: dict[int, list] = {}
+        for i, seq in enumerate(draws):
+            n_min, n_max = seq.support()
+            grid = 1 << max(6, (4 * (n_max - n_min + 1) + 2 * max(abs(n_min), abs(n_max))
+                                + 2).bit_length())
+            groups.setdefault(grid, []).append(i)
+        folds = {}
+        for grid, members in groups.items():
+            lo, rows = _window_rows([draws[i] for i in members])
+            a, b = _fold_rows(rows, lambda k: _grid_phases(lo + k, grid), grid)
+            folds.update(zip(members, zip(a, b)))
+        for i, seq in enumerate(draws):
+            (a, b), (n_min, n_max) = folds[i], seq.support()
+            band_b = frequency_support(b, claimed_bandwidth=max(abs(n_min), abs(n_max)))
+            band_a = frequency_support(a, claimed_bandwidth=n_max - n_min + 1)
+            rep.n_checked += 1
+            ok_b = band_b is not None and band_b[0] >= n_min and band_b[1] <= n_max
+            ok_a = band_a is not None and band_a[0] >= -(n_max - n_min) and band_a[1] <= 0
+            if not (ok_a and ok_b):
+                rep.fail(F=seq.to_json_dict(), band_a=band_a, band_b=band_b,
+                         expected_b=(n_min, n_max))
     return rep
 
 

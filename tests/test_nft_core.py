@@ -30,7 +30,8 @@ from su11.nft_core import (
 )
 from su11 import verification
 from su11.verification import (
-    SuiteReport, random_window_sequence, reversed_order_product, su11_membership_suite,
+    SuiteReport, frequency_support_suite, parseval_suite, random_window_sequence,
+    reversed_order_product, su11_membership_suite,
 )
 
 from conftest import random_sequence_draw
@@ -250,8 +251,9 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     e^{2 pi i n t} are built only by nft_core._phases (extended.py, the
     independent oracle, is exempt); the grid levels' root-of-unity tables
     are built through it too.  Only spectral_norms._refine tests
-    convergence, and WeightSampler is the only sampler class.  The walk
-    folds in one place, and only spectral_norms takes a level's even points
+    convergence, and WeightSampler is the only sampler class.  The walk and
+    the parseval blocks fold in one place (``spectral_norms._logsq_level``),
+    and only spectral_norms takes a level's even points
     (``_refined_level``)."""
     built = []
 
@@ -269,17 +271,17 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     coeff, phase = "(1.0 - m) * (1.0 + m)", re.compile(r"np\.exp\(2j|cmath\.exp")
     coeff_count, stray = 0, []
     convergence, in_refine, samplers = 0, 0, []
-    factor_calls, factor_sites, even_points = 0, [], []
+    factor_calls, factor_sites, even_points, walk_folds = 0, [], [], {}
     for path in sorted(root.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
         even_points += [path.name for node in ast.walk(tree) if isinstance(node, ast.Slice)
                         and isinstance(node.step, ast.Constant) and node.step.value == 2
                         and (node.lower is None or getattr(node.lower, "value", None) == 0)]
-        if path.name == "extremizer_search.py":
-            walk_folds = sum(isinstance(node, ast.Call)
-                             and getattr(node.func, "id", None) == "_fold_rows"
-                             for node in ast.walk(tree))
+        if path.name in ("extremizer_search.py", "spectral_norms.py"):
+            walk_folds[path.name] = sum(isinstance(node, ast.Call)
+                                        and getattr(node.func, "id", None) == "_fold_rows"
+                                        for node in ast.walk(tree))
         convergence += len(_convergence_tests(tree))
         samplers += [f"{path.name}:{cls.name}" for cls in ast.walk(tree)
                      if isinstance(cls, ast.ClassDef)
@@ -311,7 +313,7 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     assert stray == []
     assert in_refine >= 1 and convergence == in_refine
     assert samplers == ["spectral_norms.py:WeightSampler"]
-    assert walk_folds == 1
+    assert walk_folds == {"extremizer_search.py": 0, "spectral_norms.py": 1}
     assert even_points and set(even_points) == {"spectral_norms.py"}
 
 
@@ -331,7 +333,9 @@ def test_norm_result_holds_only_what_it_reports():
 def test_fold_rows_at_per_row_points_is_each_product_at_its_point():
     """Rows folded at their own scalar ``t`` (phases of shape (rows, 1)) give
     each row's |a| and |b| at one point bit for bit, zero rows and interior
-    zeros included, and agree with the extended-precision product."""
+    zeros included, and agree with the extended-precision product.  So does
+    each row folded alone, a block of shape (1, 1), where a product written
+    onto a one-element operand would round differently."""
     rng = np.random.default_rng(21)
     seqs = [random_window_sequence(rng, 12, 0.9) for _ in range(40)]
     seqs += [CoefficientSequence(-6, (0j,) * 12), CoefficientSequence(-2, (0.4, 0j, 0j, -0.3j)),
@@ -346,6 +350,11 @@ def test_fold_rows_at_per_row_points_is_each_product_at_its_point():
         a1, b1 = product_on_grid_arrays(seq, np.array([t]))
         assert np.abs(a[r]).tobytes() == np.abs(a1).tobytes()
         assert np.abs(b[r]).tobytes() == np.abs(b1).tobytes()
+    for r, (seq, t) in enumerate(zip(seqs, ts)):  # one row at one point, shape (1, 1)
+        a1, b1 = _fold_rows(rows[r:r + 1], lambda k: _phases(k - 6, ts[r:r + 1, None]), 1)
+        assert a1.shape == (1, 1)
+        assert np.abs(a1[0]).tobytes() == np.abs(a[r]).tobytes()
+        assert np.abs(b1[0]).tobytes() == np.abs(b[r]).tobytes()
     for r in (0, 1, len(seqs) - 2, len(seqs) - 1):
         a_mp, b_mp = (complex(x) for x in mp_product(seqs[r], float(ts[r])))
         assert abs(a[r, 0] - a_mp) <= 1e-13 * abs(a_mp)
@@ -376,10 +385,24 @@ def test_membership_batches_equal_one_product_per_draw(monkeypatch, chunk):
     """The suite's batch folds report what one product per draw reports,
     across chunk boundaries (the default chunk holds every draw here)."""
     if chunk is not None:
-        monkeypatch.setattr(verification, "_MEMBERSHIP_CHUNK", chunk)
+        monkeypatch.setattr(verification, "_DRAW_CHUNK", chunk)
     for seed, n_draws in ((1, 30), (20260808, 45), (90210, 23)):
         assert (su11_membership_suite(n_draws, seed).to_dict()
                 == _membership_per_draw(n_draws, seed).to_dict())
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_parseval_and_band_check_batches_keep_every_report(monkeypatch, chunk):
+    """The parseval and band-check suites report the same bytes whatever
+    their draw chunk; at one draw per chunk every parseval block and every
+    band-check fold holds one row.  Seed 1391071104 takes the parseval
+    re-check."""
+    runs = ((1, 40), (90210, 40), (1391071104, 100))
+    want = [(parseval_suite(n, seed).to_dict(), frequency_support_suite(n, seed).to_dict())
+            for seed, n in runs]
+    monkeypatch.setattr(verification, "_DRAW_CHUNK", chunk)
+    assert want == [(parseval_suite(n, seed).to_dict(), frequency_support_suite(n, seed).to_dict())
+                    for seed, n in runs]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from su11 import (
     p_sweep,
     random_sequence,
 )
-from su11 import extremizer_search
+from su11 import spectral_norms
 from su11.extremizer_search import (
     _MIN_STEP, _WalkEvaluator, _project, _rng_for_start, sequence_digest,
 )
@@ -154,14 +154,14 @@ def test_walk_level_past_the_batch_folds_only_its_odd_points(monkeypatch):
     points, the even ones being the cached half level, and only for the
     candidates still open."""
     calls, folded = [], []
-    original_fold = extremizer_search._fold_rows
+    original_fold = spectral_norms._fold_rows
 
     def fold_spy(rows, phase, grid):
         folded.append((len(rows), grid))
         return original_fold(rows, phase, grid)
 
     monkeypatch.setattr(_WalkEvaluator, "_lhs_on_grid", _level_spy(calls))
-    monkeypatch.setattr(extremizer_search, "_fold_rows", fold_spy)
+    monkeypatch.setattr(spectral_norms, "_fold_rows", fold_spy)
     quad = QuadratureConfig(initial_grid=4, max_grid=2**16, rel_tol=1e-9)
     cands = list(_random_rows(np.random.default_rng(7), 4, 6, 0.0))
     list(_WalkEvaluator(-2, 6, ExponentPair(1.3), quad).ratios(cands))
@@ -384,7 +384,7 @@ def test_multi_start_thread_count_invariance():
 
 
 def test_multi_start_pool_failure_falls_back_visibly(monkeypatch, capsys):
-    import su11.extremizer_search as es
+    import concurrent.futures
 
     def refuse(*args, **kwargs):
         raise PermissionError("no semaphores here")
@@ -393,7 +393,7 @@ def test_multi_start_pool_failure_falls_back_visibly(monkeypatch, capsys):
     e = ExponentPair(1.7)
     ref = multi_start(e, cfg, workers=1)
     capsys.readouterr()
-    monkeypatch.setattr(es, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     res = multi_start(e, cfg, workers=2)
     err = capsys.readouterr().err
     assert err.count("\n") == 1

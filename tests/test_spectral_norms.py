@@ -333,6 +333,50 @@ def test_a_parseval_recheck_that_cannot_converge_leaves_the_failure_standing():
     assert any(abs(fx["residual"]) > 1e-9 for fx in rep.failures)
 
 
+def _parseval_alone(seq, cfg):
+    """A draw's parseval integral refined alone, through its own
+    ``WeightSampler`` and ``_fold``, as the suite did one draw at a time."""
+    sampler = WeightSampler(seq)
+    return _refine(sampler.logsq_on_grid,
+                   lambda b, cols: (np.add.reduce(b, axis=-1) / b.shape[-1]).tolist(),
+                   cfg, sampler.span, 1).columns[0]
+
+
+def test_parseval_blocks_give_each_row_its_own_refinement(monkeypatch):
+    """Every row of the parseval blocks has the value, ``grid_used``,
+    estimate and convergence of its own one-row refinement bit for bit:
+    random draws, the four draws whose levels agree on a wrong value, a
+    zero draw, and a draw of span 200 in the same call, so that two first
+    grids group apart.  Each block shares one first grid and holds at most
+    ``_PARSEVAL_BLOCK`` (32) rows.  The residual subtracts the sequence
+    side of the draw."""
+    firsts, blocks = [], []
+    refine, window_rows = spectral_norms._refine, spectral_norms._window_rows
+    monkeypatch.setattr(spectral_norms, "_refine", lambda level, stat, cfg, span, cols:
+                        firsts.append(_first_grid(cfg, span)) or
+                        refine(level, stat, cfg, span, cols))
+    monkeypatch.setattr(spectral_norms, "_window_rows",
+                        lambda seqs: blocks.append(len(seqs)) or window_rows(seqs))
+    rng = np.random.default_rng(5)
+    seqs = [random_window_sequence(rng, 10, 0.9) for _ in range(60)]
+    for seed, (draw, _) in FALSE_PARSEVAL.items():
+        rng = np.random.default_rng(seed)
+        seqs.append([random_window_sequence(rng, 10, 0.9) for _ in range(draw + 1)][-1])
+    seqs.insert(7, CoefficientSequence(3, (0j, 0j)))
+    seqs.insert(40, CoefficientSequence(-100, (0.3,) + (0j,) * 199 + (0.2j,)))
+    cfg = QuadratureConfig()
+    got = spectral_norms.parseval_residuals(seqs, cfg)
+    assert len(got) == len(seqs)
+    for seq, (residual, res) in zip(seqs, got):
+        want = _parseval_alone(seq, cfg)
+        assert (res.value, res.grid_used, res.est_rel_error, res.converged) == (
+            want.value, want.grid_used, want.est_rel_error, want.converged)
+        assert type(res.value) is float and type(res.grid_used) is int
+        sampler = WeightSampler(seq)
+        assert residual == want.value - float(sum(sampler.log_a_sq))
+    assert list(zip(firsts, blocks)) == [(256, 32), (256, 32), (256, 1), (512, 1)]
+
+
 def test_refinement_estimates_shrink_statistically(quad):
     """Across the Parseval integrand family, a doubling rarely grows the
     successive-difference estimate by more than 2x (noise floor excluded).
@@ -682,11 +726,11 @@ def test_first_grid_floor():
 
 def test_parseval_starts_above_the_alias_floor(quad, monkeypatch):
     """Two entries 600 apart: the first levels below 1201 points alias
-    the band of log|a|^2, so the coarsest level the refinement asks for is
-    2048; the integral still meets the sequence side."""
-    asked, logsq = [], WeightSampler.logsq_on_grid
-    monkeypatch.setattr(WeightSampler, "logsq_on_grid",
-                        lambda self, grid: asked.append(grid) or logsq(self, grid))
+    the band of log|a|^2, so the coarsest level the refinement asks of its
+    block is 2048; the integral still meets the sequence side."""
+    asked, level = [], spectral_norms._logsq_level
+    monkeypatch.setattr(spectral_norms, "_logsq_level", lambda block, lo, levels, grid, *rest:
+                        asked.append(grid) or level(block, lo, levels, grid, *rest))
     seq = CoefficientSequence(0, (0.4,) + (0j,) * 599 + (0.3j,))
     residual, res = parseval_residual(seq, quad)
     assert min(asked) == 2048 and res.converged
