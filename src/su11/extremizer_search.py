@@ -138,7 +138,8 @@ class _WalkEvaluator:
     block, whose levels ``_lhs_on_grid`` builds like any other
     (``_refined_level``): ``_refine`` asks first for the batch grid, folded
     whole with the phase table, whose even columns are the M level; a level
-    past it folds the new odd points of the rows ``_refine`` still has open.
+    past it folds the new odd points, of every row while all are open and
+    then of the rows ``_refine`` still has open, which it interleaves.
     ``ratio(vals)`` is the one-row case of ``ratios``.
     Every row is bit-identical to folding and refining its candidate alone.
     Nothing is kept between calls.  The walk's final answer is always
@@ -147,14 +148,14 @@ class _WalkEvaluator:
 
     def __init__(self, offset: int, count: int, exponents: ExponentPair,
                  quad: QuadratureConfig):
-        self.offset = offset
+        self.window = range(offset, offset + count)
         self.q = exponents.q
         self.p = exponents.p
         self.quad = quad
         self.span = count - 1
         self._grid = 2 * _first_grid(quad, self.span)
         # row k is the phase of entry k on the batch grid
-        self._phase = np.array([_grid_phases(offset + k, self._grid) for k in range(count)])
+        self._phase = np.array([_grid_phases(n, self._grid) for n in self.window])
 
     def ratios(self, cands: list[np.ndarray]):
         """The ratio of each candidate in turn (None for the zero one), from
@@ -185,7 +186,7 @@ class _WalkEvaluator:
         row, or one candidate) at the points j / grid: the square root of
         their ``_logsq_level``, whose ``levels`` and ``rows`` it takes.  The
         batch grid folds with the phase table."""
-        return np.sqrt(_logsq_level(vals, self.offset, levels, grid, rows,
+        return np.sqrt(_logsq_level(vals, self.window, levels, grid, rows,
                                     (self._grid, self._phase)))
 
 

@@ -377,23 +377,24 @@ class _TraceGrids:
     sequence's WeightSampler and serves the ledger at every p, and a level
     of 2M points is built from the cached M-point level (see
     ``_refined_level``).  Past the first doubling ``level(M, rows)`` builds
-    and caches the flat rows ``rows`` of the (2, rows) block alone, the
-    ones ``_refine`` still has open, each by the arithmetic of the whole
-    level.  Nor does link L3 depend on the exponent, kept per ``t_samples``
-    in ``l3``.
+    the flat rows ``rows`` of the (2, rows) block alone, the ones
+    ``_refine`` still has open, at the level's odd points and uncached, each
+    by the arithmetic of the whole level.  Nor does link L3 depend on the
+    exponent, kept per ``t_samples`` in ``l3``.
     """
 
     def __init__(self, seq: CoefficientSequence):
         window = seq.window_entries()
         self.entries = [(n, v) for n, v in window if v != 0]
         self.row_of = np.cumsum([0] + [v != 0 for _, v in window])
-        self._cache: dict[int, tuple] = {}  # see _refined_level
+        self._cache: dict[int, np.ndarray] = {}  # see _refined_level
         self.l3: dict[int, LedgerEntry] = {}
 
     def level(self, grid_size: int, rows: list | None = None) -> np.ndarray:
         return _refined_level(self._cache, grid_size, self._rows, rows)
 
-    def _rows(self, ts: np.ndarray, grid: tuple[int, bool], rows: list | None) -> np.ndarray:
+    def _rows(self, ts: np.ndarray, grid: tuple[int, bool],
+              rows: list | None = None) -> np.ndarray:
         """The flat rows ``rows`` of the (2, rows) level (None: all of it,
         in that shape) at the points ``ts`` of the grid level
         ``grid = (M, odd)``, whose phases are gathered (``_grid_phases``).

@@ -297,11 +297,11 @@ def _fold_rows(rows: np.ndarray, phase, grid: int) -> tuple[np.ndarray, np.ndarr
     return a, b
 
 
-def _window_rows(seqs) -> tuple[int, np.ndarray]:
-    """``(lo, rows)``: the sequences zero-padded onto their common index
-    window, entry n of sequence r at ``rows[r, n - lo]``, as ``_fold_rows``
-    takes them.  Leading and trailing zeros are trimmed, and a zero
-    sequence is a zero row."""
+def _window_rows(seqs) -> tuple[list, np.ndarray]:
+    """``(ns, rows)``: the sequences zero-padded onto the indices ``ns`` of
+    their common window that some sequence uses, entry ``ns[k]`` of sequence
+    r at ``rows[r, k]``, as ``_fold_rows`` takes them (an unused index would
+    only step identity factors).  A zero sequence is a zero row."""
     spans = [seq.support() for seq in seqs]
     lo = min((s[0] for s in spans if s is not None), default=0)
     hi = max((s[1] for s in spans if s is not None), default=lo - 1)
@@ -309,7 +309,8 @@ def _window_rows(seqs) -> tuple[int, np.ndarray]:
     for r, (seq, s) in enumerate(zip(seqs, spans)):
         if s is not None:
             rows[r, s[0] - lo:s[1] - lo + 1] = seq.values[s[0] - seq.offset:s[1] - seq.offset + 1]
-    return lo, rows
+    used = np.flatnonzero(np.any(rows != 0, axis=0))
+    return (lo + used).tolist(), rows[:, used]
 
 
 def product_on_grid_arrays(

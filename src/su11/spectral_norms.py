@@ -92,74 +92,56 @@ class NormResult:
 # sampling helpers
 
 
-def _held(entry, rows):
-    """The samples of ``rows`` in a cached ``(held rows, samples)`` entry, or
-    None if it does not hold them all.  ``None`` stands for every row: the
-    whole level, in its own shape; a sorted list of flat rows gives their
-    samples, one row each."""
-    held, samples = entry
-    if held is None:
-        return samples if rows is None else samples.reshape(-1, samples.shape[-1])[rows]
-    if rows is not None and set(rows) <= set(held):
-        return samples if held == rows else samples[np.searchsorted(held, rows)]
-    return None
-
-
 def _refined_level(cache: dict, grid_size: int, fresh, rows: list | None = None) -> np.ndarray:
-    """The grid level ``grid_size`` of the sorted flat rows ``rows`` (None:
-    the whole level), from ``cache`` or computed into it by
-    ``fresh(ts, grid, rows)``.
+    """The whole grid level ``grid_size`` from ``cache`` or computed into it
+    by ``fresh(ts, grid)``; with ``rows`` (sorted flat rows), their samples
+    at the level's new odd points ``(2j + 1) / grid_size`` alone, by
+    ``fresh(ts, grid, rows)``, uncached.
 
-    ``fresh`` maps an array of points t to the samples of ``rows``, whose
-    last axis runs over t; ``grid = (grid_size, odd)`` names those points as
-    the grid level (see ``nft_core._grid_phases``).  ``cache`` maps a level
-    to the rows it holds and their samples, and never serves a row it does
-    not hold.  The even points 2j / grid_size and j / (grid_size / 2) round
-    to the same double, so a level evaluated whole also caches its even
-    points as the whole half level, and when the half level is cached only
-    the odd points (2j + 1) / grid_size are evaluated and interleaved with
-    it.  The half level of a few rows is itself built the same way, so a
-    row the cache lacks is rebuilt from the whole first levels; a level it
-    cannot build from its half is evaluated at every point.
+    ``fresh`` maps an array of points t to the samples there, whose last
+    axis runs over t; ``grid = (grid_size, odd)`` names those points as the
+    grid level (see ``nft_core._grid_phases``).  ``cache`` maps a grid size
+    to its whole level.  The even points 2j / grid_size and
+    j / (grid_size / 2) round to the same double, so a level evaluated
+    whole also caches its even points as the half level, and when the half
+    level is cached only the odd points are evaluated and interleaved with
+    it.
     """
-    entry = cache.get(grid_size)
-    out = None if entry is None else _held(entry, rows)
+    if rows is not None:
+        return fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size,
+                     (grid_size, True), rows)
+    out = cache.get(grid_size)
     if out is not None:
         return out
-    half = None
-    if grid_size % 2 == 0 and grid_size // 2 in cache:
-        half = (_held(cache[grid_size // 2], None) if rows is None
-                else _refined_level(cache, grid_size // 2, fresh, rows))
+    half = cache.get(grid_size // 2) if grid_size % 2 == 0 else None
     if half is None:
-        out = fresh(np.arange(grid_size, dtype=float) / grid_size, (grid_size, False), rows)
-        if rows is None and grid_size % 2 == 0:
-            cache[grid_size // 2] = (None, np.ascontiguousarray(out[..., ::2]))
+        out = fresh(np.arange(grid_size, dtype=float) / grid_size, (grid_size, False))
+        if grid_size % 2 == 0:
+            cache[grid_size // 2] = np.ascontiguousarray(out[..., ::2])
     else:
-        odd = fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size,
-                    (grid_size, True), rows)
         out = np.empty(half.shape[:-1] + (grid_size,), dtype=half.dtype)
-        out[..., 0::2] = half
-        out[..., 1::2] = odd
-    cache[grid_size] = (rows, out)
+        out[..., 0::2], out[..., 1::2] = half, fresh(
+            np.arange(1, grid_size, 2, dtype=float) / grid_size, (grid_size, True))
+    cache[grid_size] = out
     return out
 
 
-def _logsq_level(block: np.ndarray, lo: int, levels: dict, grid: int,
+def _logsq_level(block: np.ndarray, ns, levels: dict, grid: int,
                  rows: list | None = None, table=None) -> np.ndarray:
     """log|a|^2 = log(1 + |b|^2) at the points j / grid of the sequences in
-    ``block`` (one per row, entry k at index ``lo + k``; a 1-D block is one
+    ``block`` (one per row, entry k at index ``ns[k]``; a 1-D block is one
     sequence), from ``levels`` or built into it (``_refined_level``, whose
-    ``rows`` pick some rows, one row each).
+    ``rows`` pick some rows at the level's odd points, one row each).
 
     The samples come from ``_fold_rows`` with ``_grid_phases``; a table
-    ``(M, phase)``, whose row k is ``_grid_phases(lo + k, M)``, serves the
+    ``(M, phase)``, whose row k is ``_grid_phases(ns[k], M)``, serves the
     whole level M.  Every row has the bits of sampling its sequence alone.
     """
     flat = block.reshape(math.prod(block.shape[:-1]), block.shape[-1])
 
-    def fresh(ts, at, rows):
+    def fresh(ts, at, rows=None):
         phase = table[1].__getitem__ if table and at == (table[0], False) else (
-            lambda k: _grid_phases(lo + k, *at))
+            lambda k: _grid_phases(ns[k], *at))
         _, b = _fold_rows(flat if rows is None else flat[rows], phase, ts.size)
         shape = block.shape[:-1] if rows is None else (len(rows),)
         return np.log1p(np.abs(b) ** 2).reshape(shape + ts.shape)
@@ -173,12 +155,11 @@ class WeightSampler:
 
     One instance per sequence is shared by everything that samples it: the
     quadratures at every exponent, the theorem margins and the proof ledger,
-    which keeps its row levels here too (``trace_grids``).  Each grid level of
-    a one-row function is therefore evaluated once per sequence, and a level
-    of 2M points is built from the cached M-point level by evaluating only
-    the M new odd points (``_refined_level``; the ledger's levels past the
-    first doubling hold its open rows alone).  ``span`` (``N_max - N_min``)
-    sets the first level of a refinement.
+    which keeps its whole row levels here too (``trace_grids``).  Each grid
+    level of a one-row function is therefore evaluated once per sequence,
+    and a level of 2M points is built from the cached M-point level by
+    evaluating only the M new odd points (``_refined_level``).  ``span``
+    (``N_max - N_min``) sets the first level of a refinement.
 
     The norms are shared too (``norm``): the sampler is built with the
     exponents ``ps`` it serves, and the first norm asked of a level
@@ -196,7 +177,7 @@ class WeightSampler:
         self.log_a_sq = [_log_a_sq(m) for m in self.mods]
         self.weights = np.sqrt(self.log_a_sq)
         self.qs = tuple(ExponentPair(p).q for p in ps)
-        self._b_abs: dict[int, tuple] = {}  # see _refined_level
+        self._b_abs: dict[int, np.ndarray] = {}  # see _refined_level
         self._logsq: dict[int, np.ndarray] = {}
         self._norms: dict[tuple, dict[float, NormResult]] = {}
         self._lp: dict[tuple[str, float], float] = {}
@@ -225,8 +206,7 @@ class WeightSampler:
             out = self._lp[side, p] = lp_sequence_norm(getattr(self, side), p)
         return out
 
-    def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool], rows=None) -> np.ndarray:
-        # one row: ``_refine`` never asks a one-row level for ``rows``
+    def _b_abs_at(self, ts: np.ndarray, grid: tuple[int, bool]) -> np.ndarray:
         return np.abs(product_on_grid_arrays(self.seq, ts, grid)[1])
 
     def logsq_on_grid(self, grid_size: int) -> np.ndarray:
@@ -241,7 +221,7 @@ class WeightSampler:
 
     def b_abs_on_grid(self, grid_size: int) -> np.ndarray:
         self.logsq_on_grid(grid_size)  # builds both levels together
-        return self._b_abs[grid_size][1]
+        return self._b_abs[grid_size]
 
     def on_grid(self, grid_size: int) -> np.ndarray:
         return np.sqrt(self.logsq_on_grid(grid_size))
@@ -274,17 +254,19 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     """Double the grid until two successive statistics agree to rel_tol,
     cell by cell, from the first level ``_first_grid(cfg, span)``.
 
-    ``level(M)`` returns the samples at t = j / M, of shape (..., M): one
-    row or a block, with the first level's leading shape; anything else
-    raises TypeError, so a function of t passed by mistake fails instead of
-    yielding a wrong norm.  Once a row of a block has closed, each later
-    level is asked for the rows with an open cell alone: ``level(M, rows)``
-    takes their sorted flat indices and returns their samples, of shape
-    (len(rows), M).  So a one-row level is never asked for ``rows``.  A row
-    holds ``columns`` cells (one per exponent, say), and
-    ``statistic(block, cols)`` maps (rows, M) to the (rows, len(cols))
-    values of the columns ``cols``, as one row-major list of Python floats,
-    each independent of the other rows and columns.
+    ``level(M)`` samples one fixed function of t, or a block of them, at
+    t = j / M, so the even points of level 2M are level M.  It returns an
+    array of shape (..., M): one row or a block, with the first level's
+    leading shape; anything else raises TypeError, so a function of t passed
+    by mistake fails instead of yielding a wrong norm.  Once a row of a
+    block has closed, ``_refine`` holds the current level of the rows with
+    an open cell and asks ``level(2M, rows)`` (their sorted flat indices)
+    only for their samples at the M new odd points (2j + 1) / 2M, of shape
+    (len(rows), M), which it interleaves itself.  So a one-row level is
+    never asked for ``rows``.  A row holds ``columns`` cells (one per
+    exponent, say), and ``statistic(block, cols)`` maps (rows, M) to the
+    (rows, len(cols)) values of the columns ``cols``, as one row-major list
+    of Python floats, each independent of the other rows and columns.
 
     One loop runs over the open cells ``row * columns + k``.  Each cell
     freezes at its own first converged level, with the bits it gets alone;
@@ -298,15 +280,14 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     ``_refined_level`` samples both in one evaluation.
     """
 
-    def reduce(samples, grid: int, rows: list, cols: list) -> list:
-        want = shape + (grid,) if len(rows) == n_rows else (len(rows), grid)
+    def checked(samples, grid: int, want: tuple) -> np.ndarray:
         if not isinstance(samples, np.ndarray) or samples.shape != want:
             raise TypeError(f"level({grid}) must return an array of shape {want}")
-        block = samples.reshape(-1, grid)
-        chunk = max(1, _STAT_CHUNK // grid)
-        if len(rows) <= chunk:
-            return statistic(block, cols)
-        return [x for i in range(0, len(rows), chunk)
+        return samples.reshape(-1, want[-1])
+
+    def reduce(block: np.ndarray, cols: list) -> list:
+        chunk = max(1, _STAT_CHUNK // block.shape[-1])
+        return [x for i in range(0, len(block), chunk)
                 for x in statistic(block[i:i + chunk], cols)]
 
     grid = _first_grid(cfg, span)
@@ -316,16 +297,21 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
     n_rows, K = math.prod(shape), columns
     # Python floats per cell: a numpy call per field and level costs more.
     # ``cells`` are the open ones in order, ``rows`` and ``cols`` the rows and
-    # columns they span
+    # columns they span, and ``held`` the current level of the rows ``held_rows``
     rows, cols = list(range(n_rows)), list(range(K))
-    value = reduce(first, grid, rows, cols)
+    value = reduce(checked(first, grid, shape + (grid,)), cols)
     cells = list(range(len(value)))
     grid_used, est = [grid] * len(value), [math.inf] * len(value)
     history = []
     while cells and 2 * grid <= cfg.max_grid:
-        samples = (ahead.pop() if ahead else level(2 * grid) if len(rows) == n_rows
-                   else level(2 * grid, rows))
-        nxt = reduce(samples, 2 * grid, rows, cols)
+        if len(rows) == n_rows:
+            samples = checked(ahead.pop() if ahead else level(2 * grid), 2 * grid,
+                              shape + (2 * grid,))
+        else:
+            samples = np.empty_like(held, shape=(len(rows), 2 * grid))
+            samples[:, 0::2] = held[np.searchsorted(held_rows, rows)]
+            samples[:, 1::2] = checked(level(2 * grid, rows), 2 * grid, (len(rows), grid))
+        nxt = reduce(samples, cols)
         if len(nxt) > len(cells):  # the rows x cols values hold closed cells too
             at = {r * K + k: i for i, (r, k) in enumerate(itertools.product(rows, cols))}
             nxt = [nxt[at[c]] for c in cells]
@@ -335,6 +321,7 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
             value[c], est[c], grid_used[c] = x, e, grid if e <= cfg.rel_tol else 2 * grid
         grid *= 2
         still = [c for c, e in zip(cells, step) if not e <= cfg.rel_tol]
+        held, held_rows = samples, rows
         if len(still) < len(cells):
             rows, cols = sorted({c // K for c in still}), sorted({c % K for c in still})
         cells = still
@@ -436,7 +423,7 @@ def parseval_residuals(
 
     The sequences are grouped by their first level (``_first_grid``) and
     refined ``_PARSEVAL_BLOCK`` at a time: each block is one ``_refine`` of
-    ``_logsq_level`` on the block's common index window, with the mean as
+    ``_logsq_level`` on the block's indices (``_window_rows``), with the mean as
     its statistic, so past the first doubling only the open rows are
     sampled.  Each row keeps the value, grid and convergence of its own
     one-row refinement, bit for bit.
@@ -450,9 +437,9 @@ def parseval_residuals(
     for members in groups.values():
         for start in range(0, len(members), _PARSEVAL_BLOCK):
             chunk = members[start:start + _PARSEVAL_BLOCK]
-            lo, block = _window_rows([seqs[i] for i, _ in chunk])
+            ns, block = _window_rows([seqs[i] for i, _ in chunk])
             levels = {}
-            ref = _refine(lambda grid, rows=None: _logsq_level(block, lo, levels, grid, rows),
+            ref = _refine(lambda grid, rows=None: _logsq_level(block, ns, levels, grid, rows),
                           # np.mean's bits, see lq_norm_periodic
                           lambda b, cols: (np.add.reduce(b, axis=-1) / b.shape[-1]).tolist(),
                           cfg, max(span for _, span in chunk), 1)

@@ -157,8 +157,8 @@ def su11_membership_suite(
     ||a|^2 - |b|^2 - 1| <= 1e-10 |a|^2 and |a| >= 1 - 1e-12.
 
     The draws are folded ``_DRAW_CHUNK`` at a time as one ``_fold_rows``
-    batch, each row zero-padded onto the chunk's common index window and
-    phased at its own ``t``; |a| and |b| are those of its own
+    batch, each row zero-padded onto the chunk's indices (``_window_rows``)
+    and phased at its own ``t``; |a| and |b| are those of its own
     ``product_on_grid_arrays(F, [t])`` bit for bit.
     """
     rng = np.random.default_rng(seed)
@@ -168,9 +168,9 @@ def su11_membership_suite(
         for _ in range(min(_DRAW_CHUNK, n_draws - start)):
             seq = random_window_sequence(rng, 12, 0.9)
             draws.append((seq, float(rng.uniform(0.0, 1.0))))
-        lo, rows = _window_rows([seq for seq, _ in draws])
+        ns, rows = _window_rows([seq for seq, _ in draws])
         ts = np.array([[t] for _, t in draws])
-        a, b = _fold_rows(rows, lambda k: _phases(lo + k, ts), 1)
+        a, b = _fold_rows(rows, lambda k: _phases(ns[k], ts), 1)
         for (seq, t), a_r, b_r in zip(draws, a[:, 0].tolist(), b[:, 0].tolist()):
             asq = abs(a_r) ** 2
             det_rel = abs(asq - abs(b_r) ** 2 - 1.0) / asq
@@ -241,7 +241,7 @@ def frequency_support_suite(
 
     The draws are made ``_DRAW_CHUNK`` at a time, and the draws of a chunk
     that share a band-check grid are folded on it as one ``_fold_rows``
-    batch, on their common index window; |a| and |b| are those of each
+    batch, on their indices (``_window_rows``); |a| and |b| are those of each
     draw's own product bit for bit.
     """
     rng = np.random.default_rng(seed)
@@ -258,8 +258,8 @@ def frequency_support_suite(
             groups.setdefault(grid, []).append(i)
         folds = {}
         for grid, members in groups.items():
-            lo, rows = _window_rows([draws[i] for i in members])
-            a, b = _fold_rows(rows, lambda k: _grid_phases(lo + k, grid), grid)
+            ns, rows = _window_rows([draws[i] for i in members])
+            a, b = _fold_rows(rows, lambda k: _grid_phases(ns[k], grid), grid)
             folds.update(zip(members, zip(a, b)))
         for i, seq in enumerate(draws):
             (a, b), (n_min, n_max) = folds[i], seq.support()

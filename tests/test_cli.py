@@ -428,3 +428,21 @@ def test_verify_reports_keep_their_pinned_bytes(monkeypatch, capsys, tmp_path, f
         "order-sensitivity", "linearization"]
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == VERIFY_SHA256[flags]
+
+
+# sha256 of ``sweep.json`` and ``sweep.dat`` for ``su11 sweep`` at seed
+# 20260808, taken before the level caches held whole levels only: the bytes of
+# the walk, its re-certification and the spike reference.  Only a
+# regeneration of the bench reference may move them.
+SWEEP_SHA256 = {
+    "sweep.json": "312deb4f0255616096052743d03c49a914143328841806b8cf4b6cbbe5dfe0f3",
+    "sweep.dat": "b6901c466a21d8e27d6acb881a0d317e94b4a8c7206141570ddf5d3393ea9cf6",
+}
+
+
+def test_sweep_reports_keep_their_pinned_bytes(tmp_path):
+    assert main(["sweep", "--seed", "20260808", "--p-values", "1.1 1.5 1.9",
+                 "--starts", "1", "--output", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in SWEEP_SHA256}
+    assert digests == SWEEP_SHA256

@@ -24,6 +24,7 @@ from su11 import (
 )
 from su11.extended import mp_hy_margin, mp_product
 from su11 import inequality_harness, spectral_norms
+from su11.extremizer_search import _WalkEvaluator
 from su11.inequality_harness import _TraceGrids
 from su11.nft_core import _grid_phases, _phases, product_on_grid_arrays
 from su11.spectral_norms import NormResult, WeightSampler, _first_grid, lq_norm_periodic
@@ -256,27 +257,61 @@ def test_trace_levels_from_odd_points_match_fresh_evaluation(width):
             grid *= 2
 
 
-@pytest.mark.parametrize("width", [5, 24])
-def test_a_level_cached_for_some_rows_serves_no_other_row(width):
-    """A level cached for a few rows never serves a row it does not hold:
-    after rows {1, 3} at M, the whole level at M and 2M, and after the
-    whole first levels and rows {1, 3} past them, other rows there (a LIN
-    row among them) and the whole next level all equal the whole level
-    built afresh, byte for byte."""
+def _row_level_providers(width):
+    """The three providers of block levels, each as ``level(M, rows=None)``
+    with a fresh cache: the ledger rows, the parseval blocks' log|a|^2 and
+    the walk's weight, the last two over three candidates of the window."""
     seq = sequence_of_width(width)
-    whole = {M: _TraceGrids(seq).level(M).reshape(-1, M) for M in (64, 128, 256, 512)}
-    grids = _TraceGrids(seq)
-    assert grids.level(64, [1, 3]).tobytes() == whole[64][[1, 3]].tobytes()
-    assert grids.level(64).reshape(-1, 64).tobytes() == whole[64].tobytes()
-    assert grids.level(128).reshape(-1, 128).tobytes() == whole[128].tobytes()
+    cands = np.array(seq.values) * np.array([[1.0], [0.5j], [-0.25]])
+    ns, quad = range(seq.offset, seq.offset + width), QuadratureConfig()
+    walk, logsq, weight = _WalkEvaluator(seq.offset, width, ExponentPair(1.5), quad), {}, {}
+    return [_TraceGrids(seq).level,
+            lambda M, rows=None: spectral_norms._logsq_level(cands, ns, logsq, M, rows),
+            lambda M, rows=None: walk._lhs_on_grid(cands, M, weight, rows)]
 
-    grids = _TraceGrids(seq)
-    grids.level(128), grids.level(64)
-    assert grids.level(256, [1, 3]).tobytes() == whole[256][[1, 3]].tobytes()
-    rows = [0, 2, 3, width + 2]
-    assert grids.level(256, rows).tobytes() == whole[256][rows].tobytes()
-    assert grids.level(512, [3]).tobytes() == whole[512][[3]].tobytes()
-    assert grids.level(512).reshape(-1, 512).tobytes() == whole[512].tobytes()
+
+@pytest.mark.parametrize("width", [5, 24])
+def test_a_rows_level_is_its_rows_at_the_new_odd_points(width):
+    """``level(2M, rows)`` returns the rows ``rows`` at the M new odd points
+    alone; interleaved with those rows of ``level(M)`` they are the rows of
+    ``level(2M)`` evaluated whole, byte for byte, for the ledger rows, the
+    parseval blocks and the walk (whose batch grid folds with its phase
+    table)."""
+    for level, fresh in zip(_row_level_providers(width), _row_level_providers(width)):
+        for M in (64, 128, 256, 512):
+            whole = fresh(2 * M).reshape(-1, 2 * M)
+            for rows in ([1], [0, 2], list(range(len(whole)))[1::2]):
+                odd = level(2 * M, rows)
+                assert odd.shape == (len(rows), M)
+                both = np.empty((len(rows), 2 * M))
+                both[:, 0::2], both[:, 1::2] = level(M).reshape(-1, M)[rows], odd
+                assert both.tobytes() == whole[rows].tobytes()
+
+
+def test_level_caches_hold_whole_levels_only():
+    """After a ledger block refines at three exponents, with some rows
+    closing early, every level in ``_TraceGrids._cache`` has the whole
+    block's leading shape.  A rows level that returns all M points, not the
+    new odd points, raises TypeError."""
+    seq = condition9_draw(np.random.default_rng(20260808), 1.5, PLACEHOLDER_CC)
+    grids, span = _TraceGrids(seq), WeightSampler(seq).span
+    qs = tuple(ExponentPair(p).q for p in (1.1, 1.3, 1.5))
+    norms = lq_norm_periodic(grids.level, qs, QuadratureConfig(), span)
+    used = np.max([norm.grid_used.ravel() for norm in norms], axis=0)
+    assert used.min() < used.max()
+    assert grids._cache and all(level.shape[:-1] == (2, len(grids.entries) + 1)
+                                for level in grids._cache.values())
+
+    builders = [lambda M: np.full(M, 0.5),
+                lambda M: np.abs(np.sin(2 * np.pi * np.arange(M) / M)) ** 0.3]
+
+    def old_contract(M, rows=None):  # a rows level at every point
+        block = np.array([build(M) for build in builders])
+        return block if rows is None else block[rows]
+
+    cfg = QuadratureConfig(initial_grid=4, max_grid=64, rel_tol=1e-12)
+    with pytest.raises(TypeError, match=r"level\(16\) must return an array of shape \(1, 8\)"):
+        lq_norm_periodic(old_contract, 2.0, cfg, 0)
 
 
 class _CountingNumpy:
@@ -315,7 +350,7 @@ def test_a_ledger_block_builds_and_steps_only_its_open_rows(monkeypatch):
         asked.append((M, rows))
         return level(self, M, rows)
 
-    def rows_spy(self, ts, grid, rows):
+    def rows_spy(self, ts, grid, rows=None):
         count = {"phase": 0, "abs": 0, "add": 0}
 
         def phases(*args):
@@ -501,7 +536,7 @@ class _DenseTraceGrids(_TraceGrids):
         self.entries = seq.window_entries()
         self.row_of = np.arange(len(self.entries) + 1)
 
-    def _rows(self, ts, grid, rows):
+    def _rows(self, ts, grid, rows=None):
         out = np.zeros((2, len(self.entries) + 1, ts.size))
         ra = np.zeros(ts.size, dtype=complex)
         rb = np.zeros(ts.size, dtype=complex)

@@ -256,7 +256,7 @@ def test_a_refinement_samples_its_first_two_levels_in_one_kernel_call(monkeypatc
     product, trace_rows = spectral_norms.product_on_grid_arrays, _TraceGrids._rows
     monkeypatch.setattr(spectral_norms, "product_on_grid_arrays",
                         lambda seq, ts, grid: products.append(grid) or product(seq, ts, grid))
-    monkeypatch.setattr(_TraceGrids, "_rows", lambda self, ts, grid, sub:
+    monkeypatch.setattr(_TraceGrids, "_rows", lambda self, ts, grid, sub=None:
                         rows.append(grid) or trace_rows(self, ts, grid, sub))
     seq, cfg = CoefficientSequence(-1, (0.1, 0.05j, 0.02)), QuadratureConfig()
     sampler, grids = WeightSampler(seq), _TraceGrids(seq)
@@ -375,6 +375,23 @@ def test_parseval_blocks_give_each_row_its_own_refinement(monkeypatch):
         sampler = WeightSampler(seq)
         assert residual == want.value - float(sum(sampler.log_a_sq))
     assert list(zip(firsts, blocks)) == [(256, 32), (256, 32), (256, 1), (512, 1)]
+
+
+def test_parseval_blocks_fold_only_the_columns_their_rows_use(monkeypatch):
+    """Two sequences 2000 apart share a first grid and so a block, which
+    folds their 4 nonzero columns, not the 2002 of their common window;
+    each result equals its one-row call bit for bit."""
+    widths, fold = [], spectral_norms._fold_rows
+    monkeypatch.setattr(spectral_norms, "_fold_rows", lambda rows, phase, grid:
+                        widths.append(rows.shape[1]) or fold(rows, phase, grid))
+    seqs = [CoefficientSequence(0, (0.3, 0.2j)), CoefficientSequence(2000, (0.3, -0.1))]
+    cfg = QuadratureConfig()
+    got = spectral_norms.parseval_residuals(seqs, cfg)
+    assert widths and set(widths) == {4}
+    for seq, (residual, res) in zip(seqs, got):
+        alone, one = parseval_residual(seq, cfg)
+        assert np.float64(residual).tobytes() == np.float64(alone).tobytes()
+        assert res == one
 
 
 def test_refinement_estimates_shrink_statistically(quad):
@@ -551,12 +568,21 @@ def _doubling_lq(level, q, cfg, span):
 
 def _block_level(builders):
     """A grid-level function over a block of rows, one ``builders[i](M)``
-    per row; ``level(M, rows)`` builds the rows ``rows`` alone."""
+    per row; ``level(M, rows)`` builds the rows ``rows`` alone, at the new
+    odd points of level M."""
     def level(M, rows=None):
-        picked = builders if rows is None else [builders[r] for r in rows]
-        return np.array([build(M) for build in picked]).reshape(-1, M)
+        if rows is None:
+            return np.array([build(M) for build in builders]).reshape(-1, M)
+        return np.array([builders[r](M)[1::2] for r in rows]).reshape(-1, M // 2)
 
     return level
+
+
+def _dyadic_depth(M):
+    """log2 of the reduced denominator of t = j / M: a function of t whose
+    mean and maximum over the level grow with every doubling, so no
+    refinement of it converges at any q."""
+    return np.log2(M // np.gcd(np.arange(M), M))
 
 
 def _same_bits(block, r, one):
@@ -575,21 +601,20 @@ def test_block_refine_rows_equal_one_row_refinements(seed, width, q, max_grid):
     """Each row of a block, refined at once, has the value, grid, estimate
     and convergence of its own one-row refinement, bit for bit: rows that
     converge at different levels, an all-zero row, a rough row, a row that
-    never converges (its level halves with every doubling), a block with no
-    rows, at q = inf too: the block's NormResult is the per-row oracle's."""
+    never converges (the dyadic depth of t), a block with no rows, at
+    q = inf too: the block's NormResult is the per-row oracle's."""
     rng = np.random.default_rng(seed)
     cfg = QuadratureConfig(initial_grid=16, max_grid=max_grid, rel_tol=1e-10)
     builders = [WeightSampler(random_sequence_draw(rng, max_window=8)).on_grid
                 for _ in range(width)]
-    drifting = lambda M: np.full(M, 1.0 / M)
-    builders += [lambda M: np.zeros(M), drifting,
+    builders += [lambda M: np.zeros(M), _dyadic_depth,
                  lambda M: np.abs(np.sin(2 * np.pi * _grid(M))) ** 0.3]
     rng.shuffle(builders)
     block = lq_norm_periodic(_block_level(builders), q, cfg, 7)
     assert block.value.shape == (len(builders),)
     assert _same_result(block, _doubling_lq(_block_level(builders), q, cfg, 7))
     assert not block.converged
-    assert block.grid_used[builders.index(drifting)] == max_grid
+    assert block.grid_used[builders.index(_dyadic_depth)] == max_grid
     empty = lq_norm_periodic(lambda M: np.zeros((0, M)), q, cfg, 0)
     assert empty.value.shape == (0,) and empty.converged
 
@@ -633,7 +658,7 @@ def test_multi_q_equals_each_single_q_refinement(seed, width, qs, max_grid, chun
     cfg = QuadratureConfig(initial_grid=16, max_grid=max_grid, rel_tol=1e-10)
     builders = [WeightSampler(random_sequence_draw(rng, max_window=8)).on_grid
                 for _ in range(width)]
-    builders += [lambda M: np.zeros(M), lambda M: np.full(M, 1.0 / M)]
+    builders += [lambda M: np.zeros(M), _dyadic_depth]
     rng.shuffle(builders)
     with pytest.MonkeyPatch.context() as m:
         if chunk is not None:
