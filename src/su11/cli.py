@@ -4,8 +4,9 @@ Configuration comes from a flat key = value text file plus command-line
 flags (flags win); each value's text is parsed once by its key's parser and
 the whole configuration is checked before any mode runs, whatever the mode.
 Randomized runs print their seed first so every failure is replayable.
-Exit codes: 0 all checks hold, 2 an inequality margin violated tolerance
-(a counterexample file is written), 1 usage (argparse's too) or domain error.
+Exit codes (gates by ``judge``): 0 all checks hold, 2 an inequality margin
+violated tolerance (a counterexample file is written), 3 none violated but one
+unconverged (search and sweep carry no norm: never 3), 1 usage or domain error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .inequality_harness import (
     LedgerEntry,
     _l1,
     hy_ratio,
+    judge,
     proof_ledger,
     quadratic_error_probe,
 )
@@ -294,7 +296,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         return _counterexample_exit(
             cfg, {r.name: r.failures for r in reports if not r.passed}
         )
-    return 0
+    return 3 if any("unresolved" in r.worst for r in reports) else 0
 
 
 def _run_ratio(cfg: ExperimentConfig) -> int:
@@ -306,7 +308,7 @@ def _run_ratio(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output)
     emit_report([report], "csv", out / "ratio.csv")
     emit_report([report], "json", out / "ratio.json")
-    return 0
+    return 0 if report.lhs.converged else 3
 
 
 def _run_ledger(cfg: ExperimentConfig) -> int:
@@ -322,19 +324,15 @@ def _run_ledger(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output)
     emit_report(entries, "csv", out / "ledger.csv")
     emit_report(entries, "json", out / "ledger.json")
-    violated = [e for e in entries if not e.holds and not e.precondition_failed]
+    verdicts = {e.check_id: judge(e.margin_rel, -DEFAULT_MARGIN_TOL, e.converged, True)
+                for e in entries if not e.precondition_failed}
+    violated = [e for e in entries if verdicts.get(e.check_id) == "violated"]
     if violated:
         return _counterexample_exit(cfg, {"ledger": [
             {"F": seq.to_json_dict(), "check": e.check_id, "margin": e.margin}
             for e in violated
         ]})
-    return 0
-
-
-def _violates_small_bound(seq: CoefficientSequence, ratio: float) -> bool:
-    """ratio above the bound 1 + 3 ||F||_1 that the small-sequence theorem
-    states for this F, held to DEFAULT_MARGIN_TOL like theorem1_suite."""
-    return ratio > 1.0 + 3.0 * _l1(seq) + DEFAULT_MARGIN_TOL
+    return 3 if "unresolved" in verdicts.values() else 0
 
 
 def _run_search(cfg: ExperimentConfig) -> int:
@@ -347,8 +345,9 @@ def _run_search(cfg: ExperimentConfig) -> int:
     seq_path = out / "best_F.txt"
     seq_path.parent.mkdir(parents=True, exist_ok=True)
     seq_path.write_text(sequence_to_text(res.best_F))
-    # under the small-l1 hypothesis a bound violation is a counterexample
-    if scfg.l1_cap <= 0.5 and _violates_small_bound(res.best_F, res.best_ratio):
+    # under the small-l1 hypothesis, over the F found's 1 + 3 ||F||_1 is a counterexample
+    bound = 1.0 + 3.0 * _l1(res.best_F) + DEFAULT_MARGIN_TOL
+    if scfg.l1_cap <= 0.5 and judge(res.best_ratio, bound) == "violated":
         return _counterexample_exit(cfg, {"search": [
             {"F": res.best_F.to_json_dict(), "p": cfg.p, "ratio": res.best_ratio,
              "kind": "small-sequence bound violated"}
@@ -365,8 +364,8 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output)
     emit_report([r.to_dict() for r in rows], "json", out / "sweep.json")
     emit_report([(r.p, r.best_ratio) for r in rows], "plot", out / "sweep.dat")
-    bad = [r for r in rows if cfg.l1_cap <= 0.5
-           and _violates_small_bound(r.best_F, r.best_ratio)]
+    bad = [r for r in rows if cfg.l1_cap <= 0.5 and judge(
+        r.best_ratio, 1.0 + 3.0 * _l1(r.best_F) + DEFAULT_MARGIN_TOL) == "violated"]
     if bad:
         return _counterexample_exit(cfg, {"sweep": [
             {"F": r.best_F.to_json_dict(), "p": r.p, "ratio": r.best_ratio}
@@ -387,7 +386,7 @@ def _run_probe(cfg: ExperimentConfig) -> int:
         "json", out / "probe.json",
     )
     emit_report(list(zip(probe.scales, probe.deviations)), "plot", out / "probe.dat")
-    if probe.slope < 2.0 - 0.1:
+    if judge(probe.slope, 2.0 - 0.1, smaller_is_worse=True) == "violated":
         return _counterexample_exit(
             cfg, {"probe": [{"F": seq.to_json_dict(), "slope": probe.slope}]}
         )

@@ -37,7 +37,7 @@ from .spectral_norms import (
     lp_sequence_norm,
 )
 
-# Relative margin below which a check is declared violated (binary64 path).
+# Relative margin below which a check is violated; callers fold it into a bound.
 DEFAULT_MARGIN_TOL = 1e-9
 # Points of the uniform grid on which the linearization probe takes its max.
 _PROBE_GRID = 512
@@ -47,6 +47,13 @@ PROBE_SCALES = (0.1, 0.05, 0.025, 0.0125)
 LEDGER_T_SAMPLES = 16
 
 CSV_HEADER = "check_id,p,q,lhs,rhs,ratio,bound,margin,converged,context"
+
+
+def judge(value, bound, converged=True, smaller_is_worse=False) -> str:
+    """Verdict of one gate: "violated" when ``value`` is past ``bound`` (below it if
+    smaller is worse) or NaN, converged or not; else "holds", or "unresolved" unconverged."""
+    inside = value >= bound if smaller_is_worse else value <= bound
+    return "holds" if inside and converged else "unresolved" if inside else "violated"
 
 
 @dataclass(frozen=True)
@@ -445,7 +452,7 @@ def _entry(check_id, lhs, rhs, scale, context="", converged=True) -> LedgerEntry
     rel = margin / max(abs(scale), _TINY)
     return LedgerEntry(
         check_id=check_id,
-        holds=rel >= -DEFAULT_MARGIN_TOL,
+        holds=judge(rel, -DEFAULT_MARGIN_TOL, converged, True) != "violated",
         margin=margin,
         margin_rel=rel,
         lhs=lhs,
@@ -489,7 +496,7 @@ def proof_ledger(
     L9  scalar comparison 3 l1 + (3 l1 / c)^(1/gamma) <= (l1/delta)^(1/alpha)
         (requires the spread condition)
 
-    An entry holds when its rhs-relative margin is at least
+    An entry holds when ``judge`` finds its rhs-relative margin at least
     -DEFAULT_MARGIN_TOL.  Hypothesis failures are recorded per entry, never
     raised.  ``sampler`` (built for ``seq``, else ValueError) lets the
     ledgers at several exponents and the theorem margins share one set of

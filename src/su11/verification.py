@@ -33,12 +33,14 @@ from .spectral_norms import (
     parseval_residuals,
 )
 from .inequality_harness import (
+    DEFAULT_MARGIN_TOL,
     LEDGER_T_SAMPLES,
     PROBE_SCALES,
     CCParameters,
     alpha_delta,
     condition_check,
     hy_ratio,
+    judge,
     proof_ledger,
     quadratic_error_probe,
     theorem1_margin,
@@ -73,11 +75,18 @@ class SuiteReport:
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def record_worst(self, key: str, value: float, smaller_is_worse: bool = True):
+    def check(self, key: str, value: float, bound: float, converged: bool = True,
+              smaller_is_worse: bool = False) -> bool:
+        """Keep the worst ``value`` under ``key``; True if ``judge`` finds it
+        violated, and an unresolved one counts in ``worst["unresolved"]``."""
         value = float(value)
         cur = self.worst.get(key)
         if cur is None or (value < cur if smaller_is_worse else value > cur):
             self.worst[key] = value
+        verdict = judge(value, bound, converged, smaller_is_worse)
+        if verdict == "unresolved":
+            self.worst["unresolved"] = self.worst.get("unresolved", 0.0) + 1.0
+        return verdict == "violated"
 
     def fail(self, **counterexample):
         self.passed = False
@@ -176,9 +185,8 @@ def su11_membership_suite(
             det_rel = abs(asq - abs(b_r) ** 2 - 1.0) / asq
             mod_a = math.sqrt(asq)
             rep.n_checked += 1
-            rep.record_worst("det_rel", det_rel, smaller_is_worse=False)
-            rep.record_worst("abs_a_min", mod_a)
-            if det_rel > 1e-10 or mod_a < 1.0 - 1e-12:
+            if (rep.check("det_rel", det_rel, 1e-10)  # "|", not "or": both record
+                    | rep.check("abs_a_min", mod_a, 1.0 - 1e-12, smaller_is_worse=True)):
                 rep.fail(F=seq.to_json_dict(), t=t, det_rel=det_rel, abs_a=mod_a)
     return rep
 
@@ -205,10 +213,10 @@ def parseval_suite(
     fixture = CoefficientSequence(0, (0.5, 0.5))
     res, detail = parseval_residual(fixture, cfg)
     rep.n_checked += 1
-    rep.record_worst("fixture_residual", abs(res), smaller_is_worse=False)
     both = 2.0 * math.log(4.0 / 3.0)
     rep.notes.append(f"fixture both sides = {both!r}, residual = {res!r}")
-    if abs(res) > 1e-10 or abs(detail.value - both) > 1e-10:
+    if (rep.check("fixture_residual", abs(res), 1e-10, detail.converged)
+            or judge(abs(detail.value - both), 1e-10) == "violated"):
         rep.fail(F=fixture.to_json_dict(), residual=res)
 
     for start in range(0, n_draws, _DRAW_CHUNK):
@@ -217,18 +225,17 @@ def parseval_suite(
         draws = [(i, seq) for i, seq in draws if not seq.is_zero()]
         residuals = parseval_residuals([seq for _, seq in draws], cfg)
         for (i, seq), (res, detail) in zip(draws, residuals):
-            if abs(res) > 1e-9:
+            if judge(abs(res), 1e-9) == "violated":
                 grid = min(4 * detail.grid_used, 1 << cfg.max_grid.bit_length() - 1)
-                again, check = parseval_residual(
+                again, recheck = parseval_residual(
                     seq, QuadratureConfig(grid, cfg.max_grid, cfg.rel_tol))
-                if check.converged and abs(again) <= 1e-9:
+                if judge(abs(again), 1e-9, recheck.converged) == "holds":
                     rep.notes.append(f"draw {i}: residual {res!r} (grid_used "
                                      f"{detail.grid_used}) re-checked from grid {grid}: "
                                      f"{again!r}")
-                    res = again
+                    res, detail = again, recheck
             rep.n_checked += 1
-            rep.record_worst("abs_residual", abs(res), smaller_is_worse=False)
-            if abs(res) > 1e-9:
+            if rep.check("abs_residual", abs(res), 1e-9, detail.converged):
                 rep.fail(F=seq.to_json_dict(), residual=res)
     return rep
 
@@ -287,11 +294,19 @@ def spike_equality_suite(
         for p in (1.1, 1.5, 1.9):
             r = hy_ratio(spike, ExponentPair(p), cfg)
             rep.n_checked += 1
-            rep.record_worst("abs_ratio_minus_1", abs(r.ratio - 1.0),
-                             smaller_is_worse=False)
-            if abs(r.ratio - 1.0) > 1e-12:
+            if rep.check("abs_ratio_minus_1", abs(r.ratio - 1.0), 1e-12, r.lhs.converged):
                 rep.fail(F=spike.to_json_dict(), p=p, ratio=r.ratio)
     return rep
+
+
+def _check_ledger(rep: SuiteReport, seq, p, asserted, entries):
+    """Gate the links ``asserted``; a failed precondition's NaN is violated."""
+    for entry in entries:
+        if entry.check_id in asserted and rep.check(
+                f"{entry.check_id}_margin_rel", entry.margin_rel, -DEFAULT_MARGIN_TOL,
+                entry.converged, True):
+            rep.fail(F=seq.to_json_dict(), p=p, check=entry.check_id,
+                     margin=entry.margin, kind="ledger")
 
 
 def theorem1_suite(
@@ -322,24 +337,16 @@ def theorem1_suite(
             e = ExponentPair(p)
             report = theorem1_margin(seq, e, cfg, sampler=sampler)
             rep.n_checked += 1
-            rep.record_worst("margin_rel", report.margin_rel)
-            rep.record_worst("ratio_max", report.ratio, smaller_is_worse=False)
-            if report.margin_rel < -1e-9:
+            conv = report.lhs.converged
+            if rep.check("margin_rel", report.margin_rel, -1e-9, conv, True):
                 rep.fail(F=seq.to_json_dict(), p=p, margin_rel=report.margin_rel,
                          kind="theorem1")
-            if report.ratio > 2.5 + 1e-9:
+            if rep.check("ratio_max", report.ratio, 2.5 + 1e-9, conv):
                 rep.fail(F=seq.to_json_dict(), p=p, ratio=report.ratio,
                          kind="corollary-5/2")
             if with_ledger:
-                for entry in proof_ledger(seq, e, PLACEHOLDER_CC, cfg,
-                                          t_samples=t_samples, sampler=sampler):
-                    if entry.check_id in asserted:
-                        rep.record_worst(f"{entry.check_id}_margin_rel",
-                                         entry.margin_rel)
-                        if entry.precondition_failed or not entry.holds:
-                            rep.fail(F=seq.to_json_dict(), p=p,
-                                     check=entry.check_id,
-                                     margin=entry.margin, kind="ledger")
+                _check_ledger(rep, seq, p, asserted, proof_ledger(
+                    seq, e, PLACEHOLDER_CC, cfg, t_samples=t_samples, sampler=sampler))
     if with_ledger:
         rep.notes.append(f"ledger {PLACEHOLDER_CC.label()}")
     return rep
@@ -367,17 +374,13 @@ def theorem2_suite(
         rep.n_checked += 1
         rel = report.margin_rel
         rel_refined = report.refined_margin / max(report.rhs, _TINY)
-        rep.record_worst("margin_rel", rel)
-        rep.record_worst("refined_margin_rel", rel_refined)
-        if rel < -1e-9 or rel_refined < -1e-9:
+        conv = report.lhs.converged
+        if (rep.check("margin_rel", rel, -1e-9, conv, True)  # "|": both record
+                | rep.check("refined_margin_rel", rel_refined, -1e-9, conv, True)):
             rep.fail(F=seq.to_json_dict(), p=p, margin_rel=rel,
                      refined_rel=rel_refined, kind="theorem2")
-        for entry in proof_ledger(seq, e, cc, cfg, sampler=sampler):
-            if entry.check_id in ("L8", "L9"):
-                rep.record_worst(f"{entry.check_id}_margin_rel", entry.margin_rel)
-                if entry.precondition_failed or not entry.holds:
-                    rep.fail(F=seq.to_json_dict(), p=p, check=entry.check_id,
-                             margin=entry.margin, kind="ledger")
+        _check_ledger(rep, seq, p, ("L8", "L9"),
+                      proof_ledger(seq, e, cc, cfg, sampler=sampler))
     rep.notes.append(f"construction: p in {THEOREM2_PS}, window in "
                      f"{THEOREM2_WINDOW}, l1 fraction in {THEOREM2_L1_FRACTION}, "
                      f"{cc.label()}")
@@ -401,14 +404,11 @@ def endpoint_suite(n_draws: int = 25, seed: int = DEFAULT_SEED) -> SuiteReport:
             continue
         r2 = hy_ratio(seq, ExponentPair(2.0), cfg)
         rep.n_checked += 1
-        rep.record_worst("p2_abs_ratio_minus_1", abs(r2.ratio - 1.0),
-                         smaller_is_worse=False)
-        if abs(r2.ratio - 1.0) > 1e-9:
+        if rep.check("p2_abs_ratio_minus_1", abs(r2.ratio - 1.0), 1e-9, r2.lhs.converged):
             rep.fail(F=seq.to_json_dict(), p=2.0, ratio=r2.ratio)
         r1 = hy_ratio(seq, ExponentPair(1.0), sup_cfg)
         rep.n_checked += 1
-        rep.record_worst("p1_ratio_max", r1.ratio, smaller_is_worse=False)
-        if r1.ratio > 1.0 + 1e-9:
+        if rep.check("p1_ratio_max", r1.ratio, 1.0 + 1e-9, r1.lhs.converged):
             rep.fail(F=seq.to_json_dict(), p=1.0, ratio=r1.ratio)
     return rep
 
@@ -443,11 +443,9 @@ def order_sensitivity_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     closed = 4.0 / 3.0 + (1.0 / 3.0) * np.exp(-2j * np.pi * t)
     a_rev, _ = reversed_order_product(two, t)
     rep.n_checked += 1
-    err = abs(complex(a_fwd[0]) - closed)
-    rep.record_worst("closed_form_err", err, smaller_is_worse=False)
-    if err > 1e-12:
+    if rep.check("closed_form_err", abs(complex(a_fwd[0]) - closed), 1e-12):
         rep.fail(note="two-term closed form violated", t=t, a=complex(a_fwd[0]))
-    if abs(a_rev - np.conj(closed)) > 1e-12:
+    if judge(abs(a_rev - np.conj(closed)), 1e-12) == "violated":
         rep.fail(note="reversal did not conjugate a", t=t, a_rev=a_rev)
 
     # three noncommuting factors: swapping the first two changes b
@@ -459,17 +457,15 @@ def order_sensitivity_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     a3, b3 = product_on_grid_arrays(three, np.array([t]))
     b_swap = _adjacent_swap_product(vals, t)
     rep.n_checked += 1
-    diff = abs(complex(b3[0]) - b_swap)
-    rep.record_worst("b_swap_diff", diff, smaller_is_worse=False)
-    if diff < 1e-6:
+    # one value per report: its least is its largest
+    if rep.check("b_swap_diff", abs(complex(b3[0]) - b_swap), 1e-6, smaller_is_worse=True):
         rep.fail(note="adjacent factor swap did not change b", t=t)
 
     # reversal symmetry: b invariant, a conjugated
     ar, br = reversed_order_product(three, t)
     rep.n_checked += 1
     sym_err = max(abs(br - complex(b3[0])), abs(ar - np.conj(complex(a3[0]))))
-    rep.record_worst("reversal_symmetry_err", sym_err, smaller_is_worse=False)
-    if sym_err > 1e-12:
+    if rep.check("reversal_symmetry_err", sym_err, 1e-12):
         rep.fail(note="reversal symmetry violated", t=t, err=sym_err)
     return rep
 
@@ -496,8 +492,7 @@ def linearization_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     fixture = CoefficientSequence(0, (0.5, 0.5))
     probe = quadratic_error_probe(fixture, PROBE_SCALES)
     rep.n_checked += 1
-    rep.record_worst("fixture_slope", probe.slope)
-    if probe.slope < 2.0 - 0.1:
+    if rep.check("fixture_slope", probe.slope, 2.0 - 0.1, smaller_is_worse=True):
         rep.fail(F=fixture.to_json_dict(), slope=probe.slope)
 
     degenerate = 0
@@ -511,8 +506,7 @@ def linearization_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
             degenerate += 1
             continue
         rep.n_checked += 1
-        rep.record_worst("random_slope_min", probe.slope)
-        if probe.slope < 1.9:
+        if rep.check("random_slope_min", probe.slope, 1.9, smaller_is_worse=True):
             rep.fail(F=seq.to_json_dict(), slope=probe.slope)
     if degenerate:
         rep.notes.append(f"degenerate draws skipped: {degenerate}")

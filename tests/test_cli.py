@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from su11 import CoefficientSequence, ExponentPair, hy_ratio
+from su11 import CoefficientSequence, ExponentPair, QuadratureConfig, hy_ratio
 from su11.cli import ExperimentConfig, build_parser, emit_report, load_config, main
 from su11 import cli
 from su11.errors import ConfigError
@@ -446,3 +446,74 @@ def test_sweep_reports_keep_their_pinned_bytes(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in SWEEP_SHA256}
     assert digests == SWEEP_SHA256
+
+
+# sha256 of ``ratio.csv``, ``ratio.json``, ``ledger.csv`` and ``ledger.json``,
+# with the exit code, for three inputs at the default seed, taken before every
+# gate went through ``judge``; the equal input evaluates L8 and L9, and L8 is
+# violated there under the placeholder triple.  Only a regeneration of the
+# bench reference may move them.
+CLI_SHA256 = {
+    ("spike:0.4@2",): {
+        "ratio": (0, "c409b68d2fae9d66c0152d8292f8e2f33cbe0ddbe94140083f071ba8ff686395",
+                  "554f63c4e0941e81cbc1b4b0b2b4b95370c07dff88d2a638fde24bb7c74c4186"),
+        "ledger": (0, "31e9644e1e96630c125d647f8244536cb2b6a3473506e42b6b4ca01deb2a228d",
+                   "4dac5fc4c51d10bea470ceda8f1598505d533236eb579e6d1e84e40bd1da119f"),
+    },
+    ("random:0..7,0.4",): {
+        "ratio": (0, "36b8f07cb492dd28451e20a4bbe29b3100e56e1d66f1269b749edf4c00ae6a52",
+                  "8e4138debc6775c08e5372eec5cad4f7098b0da71c342b8404061a20a365bd60"),
+        "ledger": (0, "ca7fcbbb5c8b483de555a07ee81c02c864522862933e3bae44cdc4b43d0e94d1",
+                   "829aff45b14e02304d63fd70bbf71cfe22173f07b89ce372de12ef877a3f7f88"),
+    },
+    ("equal:30,0.004", "--p", "1.1"): {
+        "ratio": (0, "1ec28fd82be93e539de2b00efe39f7a40c016dee0c17d1677202c1f96dad4e47",
+                  "3ebba98cf393cfa34edade74f5c095e52d444859d8274780290b638e9499e5b6"),
+        "ledger": (2, "b83271fdabac43050af95eb05aac145854324ce6e058e7473047e29180c1c526",
+                   "0a3ee69840a06fb9870800a8fe1f65a283fae2fae910438891f759a7d251df88"),
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["ratio", "ledger"])
+@pytest.mark.parametrize("generator", sorted(CLI_SHA256))
+def test_ratio_and_ledger_reports_keep_their_pinned_bytes(capsys, tmp_path, generator, mode):
+    code = main([mode, "--generator", *generator, "--output", str(tmp_path)])
+    got = (code,) + tuple(hashlib.sha256((tmp_path / f"{mode}.{ext}").read_bytes()).hexdigest()
+                          for ext in ("csv", "json"))
+    assert got == CLI_SHA256[generator][mode]
+
+
+def test_an_unconverged_ledger_exits_3(capsys, tmp_path):
+    """Eight entries 0.06, 64 apart: the rows of L4-L7 refine to ``max_grid``
+    and stay unconverged, and no link is violated, so nothing passes."""
+    seq_path = tmp_path / "sparse.json"
+    seq = CoefficientSequence(0, ((0.06,) + (0,) * 63) * 7 + (0.06,))
+    seq_path.write_text(json.dumps(seq.to_json_dict()))
+    out = tmp_path / "reports"
+    assert main(["ledger", "--p", "1.9", "--input", str(seq_path), "--output", str(out)]) == 3
+    entries = json.loads((out / "ledger.json").read_text())
+    assert [e["check_id"] for e in entries if not e["converged"]] == ["L4", "L5", "L6", "L7"]
+    assert all(e["holds"] or e["precondition_failed"] for e in entries)
+    assert not (out / "counterexample.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["ratio", "ledger"])
+def test_no_doubling_leaves_ratio_and_ledger_unresolved(capsys, tmp_path, mode):
+    config = tmp_path / "one-level.cfg"
+    config.write_text("initial_grid = 256\nmax_grid = 256\n")
+    out = tmp_path / "reports"
+    assert main([mode, "--config", str(config), "--generator", "random:0..7,0.4",
+                 "--output", str(out)]) == 3
+    assert "false" in (out / f"{mode}.csv").read_text()
+    assert not (out / "counterexample.json").exists()
+
+
+def test_verify_exits_3_on_an_unresolved_check(monkeypatch, capsys, tmp_path):
+    spike = cli.vf.spike_equality_suite
+    monkeypatch.setattr(cli.vf, "spike_equality_suite",
+                        lambda seed, cfg: spike(seed, QuadratureConfig(256, 256)))
+    assert main(["verify", "--output", str(tmp_path)]) == 3
+    reports = json.loads((tmp_path / "verify.json").read_text())
+    assert [r["name"] for r in reports if "unresolved" in r["worst"]] == ["spike-equality"]
+    assert all(r["passed"] for r in reports)

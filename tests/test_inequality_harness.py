@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,14 +24,16 @@ from su11 import (
     theorem1_margin,
     theorem2_margin,
 )
+import su11
 from su11.extended import mp_hy_margin, mp_product
 from su11 import inequality_harness, spectral_norms
 from su11.extremizer_search import _WalkEvaluator
-from su11.inequality_harness import _TraceGrids
+from su11.inequality_harness import _TraceGrids, judge
 from su11.nft_core import _grid_phases, _phases, product_on_grid_arrays
 from su11.spectral_norms import NormResult, WeightSampler, _first_grid, lq_norm_periodic
 from su11.verification import (
-    PLACEHOLDER_CC, THEOREM1_PS, condition9_draw, theorem1_suite, theorem2_suite,
+    PLACEHOLDER_CC, THEOREM1_PS, condition9_draw, spike_equality_suite, theorem1_suite,
+    theorem2_suite,
 )
 
 from conftest import random_sequence_draw, sequence_of_width
@@ -780,3 +784,93 @@ def test_extended_margin_confirms_binary64(quad):
 def test_extended_requires_30_digits(two_half):
     with pytest.raises(ValueError):
         mp_product(two_half, 0.1, dps=10)
+
+
+# ---------------------------------------------------------------------------
+# the judge
+
+
+@pytest.mark.parametrize("smaller_is_worse", [False, True])
+def test_judge_verdicts(smaller_is_worse):
+    """Inside the bound (an equal value included) a converged value holds and
+    an unconverged one is unresolved; outside it, or NaN, is violated
+    whatever the convergence."""
+    bound, inside, outside = (-1e-9, 0.5, -2e-9) if smaller_is_worse else (1e-9, -0.5, 2e-9)
+    for converged, verdict in ((True, "holds"), (False, "unresolved")):
+        for value in (inside, bound):
+            assert judge(value, bound, converged, smaller_is_worse) == verdict
+        for value in (outside, math.nan):
+            assert judge(value, bound, converged, smaller_is_worse) == "violated"
+    assert judge(2.0, 1.0) == judge(0.0, 1.0, smaller_is_worse=True) == "violated"
+    assert judge(0.0, 1.0) == judge(2.0, 1.0, smaller_is_worse=True) == "holds"
+
+
+def test_an_unconverged_suite_is_unresolved_not_failed():
+    """With no doubling left no norm converges: every spike ratio is still 1,
+    so each of the nine checks is unresolved, and none fails."""
+    rep = spike_equality_suite(cfg=QuadratureConfig(256, 256))
+    assert rep.passed and rep.failures == []
+    assert rep.worst["unresolved"] == 9.0 and rep.n_checked == 9
+    assert "unresolved" not in spike_equality_suite().worst
+
+
+def _is_gate(node) -> bool:
+    return isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "judge"
+                                           or getattr(node.func, "attr", None) == "check")
+
+
+def _outside_gates(node):
+    """``node`` and the nodes under it, outside the arguments of every call to
+    ``judge`` or ``check``."""
+    if not _is_gate(node):
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from _outside_gates(child)
+
+
+def _is_tolerance(node) -> bool:
+    return ("DEFAULT_MARGIN_TOL" in (getattr(node, "id", None), getattr(node, "attr", None))
+            or isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and abs(node.value) < 1e-6)
+
+
+def _writes_worst(node) -> bool:
+    """A ``record_worst``, or a store into or a mutating call on a ``.worst``."""
+    if isinstance(node, ast.Attribute) and node.attr == "record_worst":
+        return True
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        node = node.value
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "update", "setdefault", "pop", "popitem", "clear"):
+        node = node.func.value
+    elif not isinstance(getattr(node, "ctx", None), ast.Store):
+        return False
+    return getattr(node, "attr", None) == "worst"
+
+
+def test_every_gate_goes_through_the_judge():
+    """Every suite records its worst values through ``SuiteReport.check`` and
+    nowhere else; the ledger's links and the ledger, search, sweep and probe
+    drivers call ``judge``; and none of them compares a value against
+    DEFAULT_MARGIN_TOL or a float literal below 1e-6 by hand."""
+    root = Path(su11.__file__).parent
+    fns = {}
+    for name in ("verification.py", "inequality_harness.py", "cli.py"):
+        for node in ast.walk(ast.parse((root / name).read_text())):
+            if isinstance(node, ast.FunctionDef):
+                fns[name, node.name] = node
+    in_suites = [fn for (mod, _), fn in fns.items() if mod == "verification.py"]
+    assert {fn.name for fn in in_suites if any(map(_writes_worst, ast.walk(fn)))} == {"check"}
+    assert [fn.name for fn in in_suites if fn.name.endswith("_suite")
+            and fn.name != "frequency_support_suite" and not any(
+                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check"
+                for node in ast.walk(fn))] == []
+    drivers = [fns["inequality_harness.py", "_entry"]] + [
+        fns["cli.py", f"_run_{mode}"] for mode in ("ledger", "search", "sweep", "probe")]
+    assert [fn.name for fn in drivers if not any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "judge"
+        for node in ast.walk(fn))] == []
+    hand = [(fn.name, ast.unparse(cmp)) for fn in in_suites + drivers
+            for cmp in _outside_gates(fn) if isinstance(cmp, ast.Compare)
+            and any(map(_is_tolerance, _outside_gates(cmp)))]
+    assert hand == []

@@ -373,8 +373,8 @@ def _membership_per_draw(n_draws: int, seed: int) -> SuiteReport:
         det_rel = abs(asq - abs(complex(b[0])) ** 2 - 1.0) / asq
         mod_a = math.sqrt(asq)
         rep.n_checked += 1
-        rep.record_worst("det_rel", det_rel, smaller_is_worse=False)
-        rep.record_worst("abs_a_min", mod_a)
+        rep.worst["det_rel"] = max(rep.worst.get("det_rel", det_rel), det_rel)
+        rep.worst["abs_a_min"] = min(rep.worst.get("abs_a_min", mod_a), mod_a)
         if det_rel > 1e-10 or mod_a < 1.0 - 1e-12:
             rep.fail(F=seq.to_json_dict(), t=t, det_rel=det_rel, abs_a=mod_a)
     return rep
