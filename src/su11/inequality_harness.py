@@ -12,7 +12,7 @@ input meets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -150,17 +150,7 @@ class LedgerEntry:
     precondition_failed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "holds": self.holds,
-            "margin": self.margin,
-            "margin_rel": self.margin_rel,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "converged": self.converged,
-            "precondition_failed": self.precondition_failed,
-            "context": self.context,
-        }
+        return asdict(self)
 
     def to_csv_row(self) -> str:
         context = self.context

@@ -26,12 +26,13 @@ its own ``_fold`` (which skips zeros) bit for bit up to the sign of a zero,
 and |a|, |b| exactly.
 
 Every quadrature level is a power-of-two grid ``j / M``, and there the
-phases need no ``exp``: ``j / M``, ``n * j / M`` and its reduction mod 1 are
-exact in binary64 (for ``|n| * M <= 2**53``), so ``e^{2 pi i n j / M}`` is
-entry ``(n * j) mod M`` of the row ``_phases(1, k / M)``, the M-th roots of
-unity.  ``_grid_phases(n, M, odd)`` gathers a level's row (with ``odd``, the
-row at its odd points ``(2j + 1) / M``) from one such table per M, bit for
-bit equal to ``_phases``; any other grid falls back to ``_phases``.  The
+phases need no ``exp``: ``e^{2 pi i n j / M}`` is entry ``(n * j) mod M`` of
+the row ``_phases(1, k / M)``, the M-th roots of unity, with the index
+reduced exactly in integers for every n.  ``_grid_phases(n, M, odd)``
+gathers a level's row (with ``odd``, the row at its odd points
+``(2j + 1) / M``) from one such table per M, so a translated sequence gets
+exactly its translated phases and no certified number depends on the
+offset; a grid that is not a power of two takes ``_phases``.  The
 tables are built through ``_phases`` and kept in the module cache
 ``_ROOTS``, filled lazily and never changed after: each table is read-only,
 and two threads racing on a miss store identical tables, so the cache is
@@ -213,24 +214,23 @@ _ROOTS: dict[int, np.ndarray] = {}
 
 
 def _grid_phases(n: int, grid: int, odd: bool = False) -> np.ndarray:
-    """``_phases(n, ts)`` on the grid level ``ts = j / grid``, or with
-    ``odd`` on its odd points ``(2j + 1) / grid``, bit for bit.
+    """e^{2 pi i n t} on the grid level ``t = j / grid``, or with ``odd`` on
+    its odd points ``(2j + 1) / grid``.
 
-    For a power-of-two ``grid`` and ``|n| * grid <= 2**53`` every step of
-    ``_phases`` is exact up to the ``exp``, whose argument is
-    ``((n * k) mod grid) / grid`` at the point ``k / grid``; the row is then
-    gathered from the cached roots of unity.  Any other grid or ``n`` takes
+    For a power-of-two ``grid`` the row is gathered from the cached roots of
+    unity at ``((n mod grid) * k) mod grid``, with ``n`` reduced as a Python
+    int first, so it is exact for any integer ``n``.  Any other grid takes
     ``_phases`` itself.
     """
     ks = np.arange(1, grid, 2) if odd else np.arange(grid)
-    if grid & (grid - 1) or abs(n) * grid > 2**53:
+    if grid & (grid - 1):
         return _phases(n, ks / grid)
     roots = _ROOTS.get(grid)
     if roots is None:
         roots = _phases(1, np.arange(grid) / grid)
         roots.flags.writeable = False
         _ROOTS[grid] = roots
-    return roots[n * ks & (grid - 1)]  # (n * k) mod grid
+    return roots[n % grid * ks & (grid - 1)]  # (n * k) mod grid
 
 
 def _step(a, b, A, B, e):
@@ -310,7 +310,7 @@ def _window_rows(seqs) -> tuple[list, np.ndarray]:
         if s is not None:
             rows[r, s[0] - lo:s[1] - lo + 1] = seq.values[s[0] - seq.offset:s[1] - seq.offset + 1]
     used = np.flatnonzero(np.any(rows != 0, axis=0))
-    return (lo + used).tolist(), rows[:, used]
+    return [lo + k for k in used.tolist()], rows[:, used]  # Python ints: any offset
 
 
 def product_on_grid_arrays(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,12 +80,7 @@ class NormResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "grid_used": self.grid_used,
-            "est_rel_error": self.est_rel_error,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

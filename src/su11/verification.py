@@ -14,7 +14,7 @@ replayed independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,15 +104,7 @@ class SuiteReport:
         return lines
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "n_checked": self.n_checked,
-            "passed": self.passed,
-            "worst": self.worst,
-            "notes": self.notes,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

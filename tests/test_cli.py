@@ -4,6 +4,7 @@ import json
 import shlex
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from su11 import CoefficientSequence, ExponentPair, QuadratureConfig, hy_ratio
@@ -496,6 +497,32 @@ def test_an_unconverged_ledger_exits_3(capsys, tmp_path):
     assert [e["check_id"] for e in entries if not e["converged"]] == ["L4", "L5", "L6", "L7"]
     assert all(e["holds"] or e["precondition_failed"] for e in entries)
     assert not (out / "counterexample.json").exists()
+
+
+def _offset_reports(tmp_path, mode, offset):
+    """Exit code and report of ``su11 <mode> --p 1.5`` on eight entries of
+    modulus below 0.06 at ``offset``, without the contexts, which name
+    indices; as a repr, so that a NaN margin equals itself."""
+    rng = np.random.default_rng(3)
+    mods = rng.uniform(0, 0.06, 8)
+    vals = mods * np.exp(2j * np.pi * rng.uniform(size=8))
+    seq_path, out = tmp_path / f"at-{offset}.json", tmp_path / f"out-{offset}"
+    seq_path.write_text(json.dumps(CoefficientSequence(offset, tuple(vals)).to_json_dict()))
+    code = main([mode, "--p", "1.5", "--input", str(seq_path), "--output", str(out)])
+    entries = json.loads((out / f"{mode}.json").read_text())
+    return code, repr([{k: v for k, v in e.items() if k != "context"} for e in entries])
+
+
+@pytest.mark.parametrize("mode", ["ratio", "ledger"])
+def test_an_offset_past_2_to_the_53_certifies_the_offset_0_numbers(capsys, tmp_path, mode):
+    """A translate has the same |a| and |b|, so the same certified numbers:
+    at offsets 2**50 and 2**60 both modes exit 0 and report the lhs, rhs,
+    ratio and every margin of offset 0 (a shift by a multiple of
+    ``max_grid`` keeps every bit)."""
+    want = _offset_reports(tmp_path, mode, 0)
+    assert want[0] == 0
+    for offset in (2**50, 2**60):
+        assert _offset_reports(tmp_path, mode, offset) == want
 
 
 @pytest.mark.parametrize("mode", ["ratio", "ledger"])

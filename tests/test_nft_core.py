@@ -166,8 +166,9 @@ def test_grid_two_point(two_half):
 def test_grid_phases_gather_matches_exp_path_bytewise():
     """Rows gathered from the root-of-unity tables equal ``_phases`` on the
     same points byte for byte: full and odd-point levels, negative n,
-    |n| up to 5000, grids 1 to 2**14.  A non-power-of-two grid and an
-    |n| * grid above 2**53 take ``_phases`` itself."""
+    |n| up to 5000, grids 1 to 2**14.  A non-power-of-two grid takes
+    ``_phases`` itself; past |n| * grid = 2**53 the gather stays exact, the
+    row of ``n mod grid``."""
     rng = np.random.default_rng(11)
     ns = [0, 1, -1, 2, -3, 5000, -5000, *rng.integers(-5000, 5001, 12).tolist()]
     grids = [2**e for e in range(15)] + [12, 37]
@@ -177,8 +178,7 @@ def test_grid_phases_gather_matches_exp_path_bytewise():
             for n in ns:
                 assert _grid_phases(n, grid, odd).tobytes() == _phases(n, ts).tobytes()
     big = 2**45  # n * k / grid is no longer exact at grid 2**10
-    ts = np.arange(1024) / 1024
-    assert _grid_phases(big + 1, 1024).tobytes() == _phases(big + 1, ts).tobytes()
+    assert _grid_phases(big + 1, 1024).tobytes() == _grid_phases(1, 1024).tobytes()
     entries = [(n, complex(*rng.normal(size=2))) for n in range(-7, 9)]
     for grid in (1, 64, 4096, 12):
         ts = np.arange(grid) / grid
@@ -250,7 +250,9 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     each of the two fold loops (no per-entry factor loop), and the phases
     e^{2 pi i n t} are built only by nft_core._phases (extended.py, the
     independent oracle, is exempt); the grid levels' root-of-unity tables
-    are built through it too.  Only spectral_norms._refine tests
+    are built through it too, and a power-of-two grid gathers from them at
+    any index, past 2**53 too, so it never reaches the rounded
+    ``float(n) * t``.  Only spectral_norms._refine tests
     convergence, and WeightSampler is the only sampler class.  The walk and
     the parseval blocks fold in one place (``spectral_norms._logsq_level``),
     and only spectral_norms takes a level's even points
@@ -265,6 +267,8 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     monkeypatch.delitem(nft_core._ROOTS, 32, raising=False)
     _grid_phases(5, 32)
     _grid_phases(-7, 32, True)
+    _grid_phases(2**62 + 3, 32)
+    _grid_phases(-2**61 - 1, 32, True)
     assert built == [(1, (np.arange(32) / 32).tobytes())]
 
     root = Path(su11.__file__).parent

@@ -18,9 +18,9 @@ from su11 import (
     parseval_residual,
 )
 from su11 import spectral_norms
-from su11.nft_core import product_on_grid_arrays
+from su11.nft_core import _log_a_sq, _window_rows, product_on_grid_arrays
 from su11.inequality_harness import _TraceGrids
-from su11.spectral_norms import _TINY, _first_grid, _refine
+from su11.spectral_norms import _TINY, _first_grid, _logsq_level, _refine
 from su11.cli import main
 from su11.verification import THEOREM1_PS, parseval_suite, random_window_sequence
 
@@ -294,6 +294,33 @@ def _logsq_trapezoid_error(seq, M):
     coeffs = np.fft.fft(a)[-np.arange(hi - lo + 1) % N] / N  # of w^0 .. w^span
     zeros = np.roots(coeffs[::-1])
     return float(np.sum(np.log(np.abs(1.0 - zeros ** -M) ** 2)) / M)
+
+
+@pytest.mark.parametrize("M", [256, 1024])
+def test_level_means_equal_the_closed_form_trapezoid_sum(M):
+    """An oracle for the kernel, the phases and the levels with no mpmath:
+    the mean of a level of log|a|^2 is the M-point trapezoid sum, exactly
+    sum log A_n^2 plus ``_logsq_trapezoid_error``.  On 200 seeded draws
+    (width up to 10, sup up to 0.9) both level paths,
+    ``WeightSampler.logsq_on_grid`` and the rows of ``_logsq_level``, match
+    it within 1e-13 of the sequence side."""
+    rng = np.random.default_rng(M)
+    seqs = [random_window_sequence(rng, 10, 0.9) for _ in range(200)]
+    ns, block = _window_rows(seqs)
+    rows = _logsq_level(block, ns, {}, M)
+    for seq, row in zip(seqs, rows):
+        seq_side = sum(_log_a_sq(abs(v)) for _, v in seq.window_entries())
+        want = seq_side + _logsq_trapezoid_error(seq, M)
+        for level in (WeightSampler(seq).logsq_on_grid(M), row):
+            assert abs(np.mean(level) - want) <= 1e-13 * seq_side
+
+
+def test_parseval_residual_at_an_offset_outside_int64():
+    """The indices stay Python ints: at offset 2**70 the residual and its
+    integral are those of offset 0, bit for bit."""
+    at = [parseval_residual(CoefficientSequence(offset, (0.1, 0.2j)), QuadratureConfig())
+          for offset in (0, 2**70)]
+    assert repr(at[1]) == repr(at[0])
 
 
 @pytest.mark.parametrize("seed", sorted(FALSE_PARSEVAL))
