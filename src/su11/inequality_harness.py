@@ -254,7 +254,7 @@ def theorem1_margin(
     """
     _require_nonzero(seq)
     sampler = _sampler_for(seq, sampler, exponents)
-    l1 = float(np.sum(sampler.mods))
+    l1 = sampler.l1
     if l1 > 0.5:
         raise PreconditionFailed(f"l1 norm {l1!r} exceeds 1/2")
     base = hy_ratio(seq, exponents, cfg, sampler=sampler)
@@ -313,7 +313,7 @@ def condition_check(
     _require_nonzero(seq)
     alpha, delta = alpha_delta(cc)
     sampler = _sampler_for(seq, sampler, exponents)
-    l1 = float(np.sum(sampler.mods))
+    l1 = sampler.l1
     ratio = sampler.lp("mods", math.inf) / sampler.lp("mods", exponents.p)
     rhs = delta * (1.0 - ratio) ** alpha
     margin = rhs - l1
@@ -377,7 +377,9 @@ class _TraceGrids:
     the flat rows ``rows`` of the (2, rows) block alone, the ones
     ``_refine`` still has open, at the level's odd points and uncached, each
     by the arithmetic of the whole level.  Nor does link L3 depend on the
-    exponent, kept per ``t_samples`` in ``l3``.
+    exponent, kept per ``t_samples`` in ``l3``; its level is every s-th
+    point of a cached level ``s * t_samples``, the row norms' first levels,
+    when there is one.
     """
 
     def __init__(self, seq: CoefficientSequence):
@@ -435,6 +437,13 @@ class _TraceGrids:
             if k in lin_at:
                 np.abs(lin, out=flat[lin_at[k]])
         return out
+
+
+def _trace_grids(sampler: WeightSampler) -> _TraceGrids:
+    """The ledger's row levels of ``sampler``'s sequence, kept on it."""
+    if sampler.trace_grids is None:
+        sampler.trace_grids = _TraceGrids(sampler.seq)
+    return sampler.trace_grids
 
 
 def _entry(check_id, lhs, rhs, scale, context="", converged=True) -> LedgerEntry:
@@ -498,14 +507,11 @@ def proof_ledger(
     _require_nonzero(seq)
     p, q = exponents.p, exponents.q
     sampler = _sampler_for(seq, sampler, exponents)
-    mods = sampler.mods
-    l1 = float(np.sum(mods))
+    mods, l1 = sampler.mods, sampler.l1
     lp_f = sampler.lp("mods", p)
     lp_w = sampler.lp("weights", p)
     prod_a = math.exp(0.5 * float(sum(sampler.log_a_sq)))
-    if sampler.trace_grids is None:
-        sampler.trace_grids = _TraceGrids(seq)
-    grids = sampler.trace_grids
+    grids = _trace_grids(sampler)
     row_of = grids.row_of  # truncations N_min-1 .. N_max -> their rows
     n_rows = len(row_of)
     n_first = seq.support()[0] - 1
@@ -526,6 +532,13 @@ def proof_ledger(
         else:
             rhs2, context = (1.0 - l1 * l1) ** -0.5, "bound=(1-l1^2)^(-1/2)"
         out.append(_entry("L2", prod_a, rhs2, max(rhs2, 1.0), context))
+
+    # Row norms: every row of both sides refined as one block, first, so
+    # that L3 finds its level in the rows' cache
+    row_norms = sampler.norm(grids.level, q, cfg)
+    conv = row_norms.converged
+    # each side indexed on its own: a contiguous copy keeps the dots on BLAS
+    red_vals, lin_vals = (side[row_of] for side in row_norms.value)
 
     # L3: pointwise at t_samples uniform points; the same at every p
     if t_samples not in grids.l3:
@@ -549,12 +562,6 @@ def proof_ledger(
             context=f"binding at {bind3[3]}; {t_samples} t-points",
         )
     out.append(grids.l3[t_samples])
-
-    # Row norms: every row of both sides refined as one block
-    row_norms = sampler.norm(grids.level, q, cfg)
-    conv = row_norms.converged
-    # each side indexed on its own: a contiguous copy keeps the dots on BLAS
-    red_vals, lin_vals = (side[row_of] for side in row_norms.value)
 
     # L4: bootstrap in norm, every N
     bind4 = None

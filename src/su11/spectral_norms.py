@@ -24,7 +24,8 @@ from .nft_core import (
 # floor for the denominators of relative errors and margins
 _TINY = 1e-300
 _STAT_CHUNK = 1 << 18  # samples per statistic call of a block (see _refine)
-_PARSEVAL_BLOCK = 32  # sequences per refinement of parseval_residuals
+# sequences per block refinement (parseval_residuals, theorem1_suite)
+_SEQ_BLOCK = 32
 # a DFT coefficient below this fraction of the peak counts as no signal
 _SUPPORT_REL_THRESHOLD = 1e-9
 
@@ -96,11 +97,11 @@ def _refined_level(cache: dict, grid_size: int, fresh, rows: list | None = None)
     ``fresh`` maps an array of points t to the samples there, whose last
     axis runs over t; ``grid = (grid_size, odd)`` names those points as the
     grid level (see ``nft_core._grid_phases``).  ``cache`` maps a grid size
-    to its whole level.  The even points 2j / grid_size and
-    j / (grid_size / 2) round to the same double, so a level evaluated
-    whole also caches its even points as the half level, and when the half
-    level is cached only the odd points are evaluated and interleaved with
-    it.
+    to its whole level.  The points s j / (s M) and j / M round to the same
+    double, so a level evaluated whole also caches its even points as the
+    half level, when the half level is cached only the odd points are
+    evaluated and interleaved with it, and a level M that divides a cached
+    level s M is copied from its every s-th point.
     """
     if rows is not None:
         return fresh(np.arange(1, grid_size, 2, dtype=float) / grid_size,
@@ -108,8 +109,11 @@ def _refined_level(cache: dict, grid_size: int, fresh, rows: list | None = None)
     out = cache.get(grid_size)
     if out is not None:
         return out
+    finer = min((m for m in cache if m % grid_size == 0), default=None)
     half = cache.get(grid_size // 2) if grid_size % 2 == 0 else None
-    if half is None:
+    if finer is not None:
+        out = cache[finer][..., ::finer // grid_size].copy()
+    elif half is None:
         out = fresh(np.arange(grid_size, dtype=float) / grid_size, (grid_size, False))
         if grid_size % 2 == 0:
             cache[grid_size // 2] = np.ascontiguousarray(out[..., ::2])
@@ -158,10 +162,12 @@ class WeightSampler:
 
     The norms are shared too (``norm``): the sampler is built with the
     exponents ``ps`` it serves, and the first norm asked of a level
-    function refines it at all of them in one refinement.  So are the
-    sequence side's scalars: the window moduli ``mods`` (|F_n|), their
-    ``log_a_sq`` (log A_n^2) and the weights W_n = (log A_n^2)^(1/2), which
-    always dominate |F_n| entrywise, with their lp norms per ``p`` (``lp``).
+    function refines it at all of them in one refinement, or in one block
+    with other samplers' level functions (``_refine_norms``).  So are the
+    sequence side's scalars: the window moduli ``mods`` (|F_n|), their sum
+    ``l1``, their ``log_a_sq`` (log A_n^2) and the weights
+    W_n = (log A_n^2)^(1/2), which always dominate |F_n| entrywise, with
+    their lp norms per ``p`` (``lp``).
     """
 
     def __init__(self, seq: CoefficientSequence, ps: tuple[float, ...] = ()):
@@ -169,6 +175,7 @@ class WeightSampler:
         support = seq.support()
         self.span = 0 if support is None else support[1] - support[0]
         self.mods = seq.moduli()
+        self.l1 = float(np.sum(self.mods))
         self.log_a_sq = [_log_a_sq(m) for m in self.mods]
         self.weights = np.sqrt(self.log_a_sq)
         self.qs = tuple(ExponentPair(p).q for p in ps)
@@ -176,7 +183,12 @@ class WeightSampler:
         self._logsq: dict[int, np.ndarray] = {}
         self._norms: dict[tuple, dict[float, NormResult]] = {}
         self._lp: dict[tuple[str, float], float] = {}
-        self.trace_grids = None  # set by proof_ledger on first use
+        self.trace_grids = None  # set by inequality_harness._trace_grids
+
+    def _memo(self, level, cfg: QuadratureConfig) -> dict[float, NormResult]:
+        # keyed by the plain function: a bound method would tie the sampler
+        # into a reference cycle and hold its levels until a collection
+        return self._norms.setdefault((level.__func__, cfg), {})
 
     def norm(self, level, q: float, cfg: QuadratureConfig) -> NormResult:
         """``lq_norm_periodic(level, q, cfg, span)`` of one of this sampler's
@@ -185,9 +197,7 @@ class WeightSampler:
         miss refines the tuple of ``q`` and every exponent of the sampler
         not yet memoized for that function, one column each, so each gets
         the bits of its own refinement."""
-        # keyed by the plain function: a bound method would tie the sampler
-        # into a reference cycle and hold its levels until a collection
-        memo = self._norms.setdefault((level.__func__, cfg), {})
+        memo = self._memo(level, cfg)
         if q not in memo:
             qs = (q,) + tuple(x for x in self.qs if x != q and x not in memo)
             memo.update(zip(qs, lq_norm_periodic(level, qs, cfg, self.span)))
@@ -214,12 +224,20 @@ class WeightSampler:
             self._logsq[grid_size] = out
         return out
 
-    def b_abs_on_grid(self, grid_size: int) -> np.ndarray:
-        self.logsq_on_grid(grid_size)  # builds both levels together
-        return self._b_abs[grid_size]
+    # ``b_abs_on_grid`` and ``on_grid`` are one-row levels.  With ``rows``
+    # (then [0]) they give the row at the odd points (2j + 1) / grid_size,
+    # shape (1, grid_size / 2), as ``_refine`` asks a block's open rows
+    # (``_refine_norms``).  Those come from the cached whole level, so the
+    # weight and |b| share every sample, as when each is refined alone.
 
-    def on_grid(self, grid_size: int) -> np.ndarray:
-        return np.sqrt(self.logsq_on_grid(grid_size))
+    def b_abs_on_grid(self, grid_size: int, rows: list | None = None) -> np.ndarray:
+        self.logsq_on_grid(grid_size)  # builds both levels together
+        out = self._b_abs[grid_size]
+        return out if rows is None else out[None, 1::2]
+
+    def on_grid(self, grid_size: int, rows: list | None = None) -> np.ndarray:
+        out = self.logsq_on_grid(grid_size)
+        return np.sqrt(out if rows is None else out[None, 1::2])
 
 
 def _first_grid(cfg: QuadratureConfig, span: int) -> int:
@@ -352,6 +370,12 @@ def lq_norm_periodic(level, q, cfg: QuadratureConfig, span: int):
     refinement.
     """
     qs = q if isinstance(q, tuple) else (q,)
+    norms = _refine(level, _lq_statistic(qs), cfg, span, len(qs)).columns
+    return norms if isinstance(q, tuple) else norms[0]
+
+
+def _lq_statistic(qs: tuple):
+    """``lq_norm_periodic``'s statistic for the columns ``qs`` (see ``_refine``)."""
     if not qs:
         raise ValueError("q = () names no exponent")
     for x in qs:
@@ -375,8 +399,63 @@ def lq_norm_periodic(level, q, cfg: QuadratureConfig, span: int):
                                  for s in sums]
         return out
 
-    norms = _refine(level, stat, cfg, span, len(qs)).columns
-    return norms if isinstance(q, tuple) else norms[0]
+    return stat
+
+
+@np.errstate(divide="ignore")  # as in lq_norm_periodic
+def _refine_norms(levels: list, cfg: QuadratureConfig) -> None:
+    """Fill ``WeightSampler.norm``'s memo of every ``(sampler, level)`` pair
+    (``level`` one of that sampler's level functions) at all of the
+    sampler's exponents, as one refinement per first level.
+
+    The pairs are grouped by first level (``_first_grid``) and exponents,
+    and each group is one ``_refine`` with ``lq_norm_periodic``'s statistic
+    of the block that stacks the members' levels, one row per row of each.
+    Sampling stays per sequence: the block asks each member's own level
+    function for its level, or for its open rows' odd points, so every
+    sample comes through that sampler's kernel calls and caches.  Each
+    member gets, per ``q``, the NormResult its own refinement gives, bit for
+    bit: floats for a one-row level, arrays of its leading shape otherwise,
+    converged unless one of its own cells is still open.
+    """
+    groups: dict[tuple, list] = {}
+    for sampler, level in levels:
+        groups.setdefault((_first_grid(cfg, sampler.span), sampler.qs), []).append(
+            (sampler, level))
+    for (_, qs), members in groups.items():
+        shapes, bounds = [], [0]  # member i holds the rows bounds[i]:bounds[i + 1]
+
+        def block(grid: int, rows: list | None = None) -> np.ndarray:
+            if rows is None:
+                parts = [level(grid) for _, level in members]
+                if not shapes:
+                    shapes.extend(x.shape[:-1] for x in parts)
+                    bounds.extend(itertools.accumulate(math.prod(s) for s in shapes))
+                return np.concatenate([x.reshape(-1, grid) for x in parts])
+            cuts = np.searchsorted(rows, bounds).tolist()  # each member's rows
+            return np.concatenate([level(grid, [r - lo for r in rows[i:j]])
+                                   for (_, level), lo, i, j in zip(members, bounds, cuts, cuts[1:])
+                                   if i < j])
+
+        ref = _refine(block, _lq_statistic(qs), cfg, members[0][0].span, len(qs))
+        open_cols = [set() for _ in members]
+        for c in ref.open_cells:
+            r, k = divmod(c, len(qs))
+            open_cols[int(np.searchsorted(bounds, r, side="right")) - 1].add(k)
+        for (sampler, level), lo, hi, shape, open_k in zip(
+                members, bounds, bounds[1:], shapes, open_cols):
+            sampler._memo(level, cfg).update(
+                (q, _member(col, lo, hi, shape, k not in open_k))
+                for k, (q, col) in enumerate(zip(qs, ref.columns)))
+
+
+def _member(col: NormResult, lo: int, hi: int, shape: tuple, converged: bool) -> NormResult:
+    """The rows ``lo:hi`` of a block's NormResult ``col`` as the NormResult
+    of a level of leading shape ``shape``."""
+    fields = (col.value, col.grid_used, col.est_rel_error)
+    if shape:
+        return NormResult(*(f[lo:hi].reshape(shape) for f in fields), converged)
+    return NormResult(*(f[lo].item() for f in fields), converged)
 
 
 def lp_sequence_norm(w, p: float) -> float:
@@ -417,7 +496,7 @@ def parseval_residuals(
     """``parseval_residual`` of each sequence, in order.
 
     The sequences are grouped by their first level (``_first_grid``) and
-    refined ``_PARSEVAL_BLOCK`` at a time: each block is one ``_refine`` of
+    refined ``_SEQ_BLOCK`` at a time: each block is one ``_refine`` of
     ``_logsq_level`` on the block's indices (``_window_rows``), with the mean as
     its statistic, so past the first doubling only the open rows are
     sampled.  Each row keeps the value, grid and convergence of its own
@@ -430,8 +509,8 @@ def parseval_residuals(
         span = 0 if support is None else support[1] - support[0]
         groups.setdefault(_first_grid(cfg, span), []).append((i, span))
     for members in groups.values():
-        for start in range(0, len(members), _PARSEVAL_BLOCK):
-            chunk = members[start:start + _PARSEVAL_BLOCK]
+        for start in range(0, len(members), _SEQ_BLOCK):
+            chunk = members[start:start + _SEQ_BLOCK]
             ns, block = _window_rows([seqs[i] for i, _ in chunk])
             levels = {}
             ref = _refine(lambda grid, rows=None: _logsq_level(block, ns, levels, grid, rows),

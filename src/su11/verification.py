@@ -27,7 +27,9 @@ from .spectral_norms import (
     ExponentPair,
     QuadratureConfig,
     WeightSampler,
+    _SEQ_BLOCK,
     _TINY,
+    _refine_norms,
     frequency_support,
     parseval_residual,
     parseval_residuals,
@@ -45,6 +47,7 @@ from .inequality_harness import (
     quadratic_error_probe,
     theorem1_margin,
     theorem2_margin,
+    _trace_grids,
 )
 
 DEFAULT_SEED = 20260808
@@ -313,32 +316,46 @@ def theorem1_suite(
     relative margin must stay above -1e-9 and the ratio below 5/2 + 1e-9.
     The ledger runs with PLACEHOLDER_CC; its entries L8/L9 are evaluated but
     not asserted here.
+
+    The draws are made ``_SEQ_BLOCK`` at a time, one sampler each, and the
+    torus norms the checks read (the weight, and with the ledger ``|b|`` and
+    the ledger rows) are refined at all five exponents first, as one
+    ``_refine`` per first level (``_refine_norms``), each draw's with the
+    bits of its own refinement.  The checks then run draw by draw.  Each
+    draw's levels are still sampled by its own sampler: the bench tracer
+    counts factor steps in ``product_on_grid_arrays`` only, so folding the
+    block's draws as one ``_fold_rows`` batch waits for counters it can read
+    (ROADMAP items 6 and 8).
     """
     cfg = QuadratureConfig()
     rng = np.random.default_rng(seed)
     rep = SuiteReport("theorem1", seed)
     asserted = {f"L{i}" for i in range(1, 8)}
-    for _ in range(n_draws):
-        seq = random_window_sequence(
-            rng, 12, 0.9, l1_target=float(rng.uniform(0.0, 0.5))
-        )
-        if seq.is_zero():
-            continue
-        sampler = WeightSampler(seq, THEOREM1_PS)
-        for p in THEOREM1_PS:
-            e = ExponentPair(p)
-            report = theorem1_margin(seq, e, cfg, sampler=sampler)
-            rep.n_checked += 1
-            conv = report.lhs.converged
-            if rep.check("margin_rel", report.margin_rel, -1e-9, conv, True):
-                rep.fail(F=seq.to_json_dict(), p=p, margin_rel=report.margin_rel,
-                         kind="theorem1")
-            if rep.check("ratio_max", report.ratio, 2.5 + 1e-9, conv):
-                rep.fail(F=seq.to_json_dict(), p=p, ratio=report.ratio,
-                         kind="corollary-5/2")
-            if with_ledger:
-                _check_ledger(rep, seq, p, asserted, proof_ledger(
-                    seq, e, PLACEHOLDER_CC, cfg, t_samples=t_samples, sampler=sampler))
+    for start in range(0, n_draws, _SEQ_BLOCK):
+        draws = [random_window_sequence(rng, 12, 0.9, l1_target=float(rng.uniform(0.0, 0.5)))
+                 for _ in range(min(_SEQ_BLOCK, n_draws - start))]
+        samplers = [WeightSampler(seq, THEOREM1_PS) for seq in draws if not seq.is_zero()]
+        levels = [(s, s.on_grid) for s in samplers]
+        if with_ledger:
+            levels += [(s, level) for s in samplers
+                       for level in (s.b_abs_on_grid, _trace_grids(s).level)]
+        _refine_norms(levels, cfg)
+        for sampler in samplers:
+            seq = sampler.seq
+            for p in THEOREM1_PS:
+                e = ExponentPair(p)
+                report = theorem1_margin(seq, e, cfg, sampler=sampler)
+                rep.n_checked += 1
+                conv = report.lhs.converged
+                if rep.check("margin_rel", report.margin_rel, -1e-9, conv, True):
+                    rep.fail(F=seq.to_json_dict(), p=p, margin_rel=report.margin_rel,
+                             kind="theorem1")
+                if rep.check("ratio_max", report.ratio, 2.5 + 1e-9, conv):
+                    rep.fail(F=seq.to_json_dict(), p=p, ratio=report.ratio,
+                             kind="corollary-5/2")
+                if with_ledger:
+                    _check_ledger(rep, seq, p, asserted, proof_ledger(
+                        seq, e, PLACEHOLDER_CC, cfg, t_samples=t_samples, sampler=sampler))
     if with_ledger:
         rep.notes.append(f"ledger {PLACEHOLDER_CC.label()}")
     return rep

@@ -26,7 +26,7 @@ from su11 import (
 )
 import su11
 from su11.extended import mp_hy_margin, mp_product
-from su11 import inequality_harness, spectral_norms
+from su11 import inequality_harness, spectral_norms, verification
 from su11.extremizer_search import _WalkEvaluator
 from su11.inequality_harness import _TraceGrids, judge
 from su11.nft_core import _grid_phases, _phases, product_on_grid_arrays
@@ -671,14 +671,108 @@ def test_alias_floor_above_max_grid_is_unconverged(monkeypatch):
     assert rep.lhs.grid_used == 1024 and asked == [1024]
 
 
-@pytest.mark.parametrize("with_ledger, per_draw", [(True, 3), (False, 1)])
-def test_theorem1_suite_refines_three_times_per_draw(monkeypatch, with_ledger, per_draw):
-    """One refinement per sampled function and draw serves all five
-    exponents: the weight, and with the ledger |b| and the row block."""
-    calls = _refine_calls(monkeypatch)
-    rep = theorem1_suite(n_draws=6, seed=4, with_ledger=with_ledger)
-    draws = rep.n_checked // len(THEOREM1_PS)
-    assert draws >= 5 and len(calls) == per_draw * draws
+@pytest.mark.parametrize("with_ledger", [True, False])
+def test_theorem1_suite_refines_once_per_chunk_of_draws(monkeypatch, with_ledger):
+    """One refinement per chunk of draws (all of whose first levels are 256)
+    serves the weight, and with the ledger |b| and the row blocks, of every
+    draw at all five exponents."""
+    for n_draws, chunks in ((6, 1), (40, 2)):
+        calls = _refine_calls(monkeypatch)
+        rep = theorem1_suite(n_draws=n_draws, seed=4, with_ledger=with_ledger)
+        assert rep.n_checked == n_draws * len(THEOREM1_PS) and len(calls) == chunks
+
+
+def _same_norm(block, alone):
+    """Two NormResults bit for bit: the same types, and for arrays the same
+    dtypes, shapes and bytes."""
+    for name in ("value", "grid_used", "est_rel_error", "converged"):
+        x, y = getattr(block, name), getattr(alone, name)
+        assert type(x) is type(y), name
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        else:
+            assert repr(x) == repr(y), name
+
+
+def _sampler_levels(sampler):
+    """The weight, |b| and ledger-row level functions of ``sampler``."""
+    return (sampler.on_grid, sampler.b_abs_on_grid,
+            inequality_harness._trace_grids(sampler).level)
+
+
+def _each_as_alone(samplers, cfg):
+    """Every norm memoized in ``samplers`` is the one a sampler of its own
+    sequence refines, bit for bit."""
+    for sampler in samplers:
+        alone = WeightSampler(sampler.seq, THEOREM1_PS)
+        for level, own in zip(_sampler_levels(sampler), _sampler_levels(alone)):
+            for q in alone.qs:
+                _same_norm(sampler.norm(level, q, cfg), alone.norm(own, q, cfg))
+
+
+def test_a_chunk_of_theorem1_draws_matches_each_draw_refined_alone(monkeypatch):
+    """The suite refines one chunk (mixed widths, a one-entry draw, a zero
+    draw that it skips) as one block; every member's weight, |b| and
+    ledger-row NormResult per q is the one of its own sampler, bit for bit.
+    Under max_grid 1024 each member's convergence is its own: one whose
+    cells all closed reads converged next to one with an open cell."""
+    rng = np.random.default_rng(7)
+    seqs = [random_sequence_draw(rng, l1_target=float(rng.uniform(0.0, 0.5)))
+            for _ in range(5)]
+    seqs[2:2] = [CoefficientSequence(3, (0.2j,)), CoefficientSequence(0, (0j, 0j))]
+    assert len({len(seq.window_entries()) for seq in seqs}) >= 5
+    draws, chunks = iter(seqs), []
+    refine_norms = verification._refine_norms
+    monkeypatch.setattr(verification, "random_window_sequence", lambda *a, **k: next(draws))
+    monkeypatch.setattr(verification, "_refine_norms",
+                        lambda levels, cfg: chunks.append(levels) or refine_norms(levels, cfg))
+    rep = theorem1_suite(n_draws=len(seqs), seed=1)
+    assert len(chunks) == 1 and rep.n_checked == 6 * len(THEOREM1_PS)
+    samplers = list(dict.fromkeys(sampler for sampler, _ in chunks[0]))
+    assert [s.seq for s in samplers] == [seq for seq in seqs if not seq.is_zero()]
+    _each_as_alone(samplers, QuadratureConfig())
+
+    cfg = QuadratureConfig(max_grid=1024)
+    samplers = [WeightSampler(seq, THEOREM1_PS) for seq in seqs if not seq.is_zero()]
+    spectral_norms._refine_norms(
+        [(s, level) for s in samplers for level in _sampler_levels(s)], cfg)
+    _each_as_alone(samplers, cfg)
+    converged = [s.norm(s.on_grid, s.qs[-1], cfg).converged for s in samplers]
+    assert True in converged and False in converged
+
+
+@pytest.mark.parametrize("t_samples", [16, 8, 10, 24])
+def test_l3_reads_its_level_from_the_rows_cache(t_samples, monkeypatch):
+    """Link L3 equals the entry built from its own ``t_samples``-point
+    level, bit for bit.  A power of two that divides the rows' cached levels
+    is copied from them, with no recurrence of its own; 10 and 24 divide no
+    cached level and still build their own."""
+    rng = np.random.default_rng(5)
+    seqs = [random_sequence_draw(rng, l1_target=float(rng.uniform(0.0, 0.5)))
+            for _ in range(6)]
+    built, rows, level = [], _TraceGrids._rows, _TraceGrids.level
+
+    def rows_spy(self, ts, grid, which=None):
+        built.append(grid)
+        return rows(self, ts, grid, which)
+
+    def own_level(self, grid, which=None):  # the t_samples level from nothing
+        if grid == t_samples and which is None:
+            return spectral_norms._refined_level({}, grid, self._rows)
+        return level(self, grid, which)
+
+    for seq in seqs:
+        e, quad = ExponentPair(1.5), QuadratureConfig()
+        with monkeypatch.context() as m:
+            m.setattr(_TraceGrids, "_rows", rows_spy)
+            l3 = _by_id(proof_ledger(seq, e, CC, quad, t_samples=t_samples))["L3"]
+        own = (t_samples, False) in built
+        assert own == (t_samples in (10, 24)), seq
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(_TraceGrids, "level", own_level)
+            oracle = _by_id(proof_ledger(seq, e, CC, quad, t_samples=t_samples))["L3"]
+        assert repr(l3.to_dict()) == repr(oracle.to_dict())
 
 
 def test_theorem2_suite_takes_the_moduli_once_per_draw(monkeypatch):

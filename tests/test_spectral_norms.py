@@ -375,7 +375,7 @@ def test_parseval_blocks_give_each_row_its_own_refinement(monkeypatch):
     random draws, the four draws whose levels agree on a wrong value, a
     zero draw, and a draw of span 200 in the same call, so that two first
     grids group apart.  Each block shares one first grid and holds at most
-    ``_PARSEVAL_BLOCK`` (32) rows.  The residual subtracts the sequence
+    ``_SEQ_BLOCK`` (32) rows.  The residual subtracts the sequence
     side of the draw."""
     firsts, blocks = [], []
     refine, window_rows = spectral_norms._refine, spectral_norms._window_rows
