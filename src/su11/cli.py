@@ -335,6 +335,14 @@ def _run_ledger(cfg: ExperimentConfig) -> int:
     return 3 if "unresolved" in verdicts.values() else 0
 
 
+def _breaks_theorem1(ratio: float, best_F: CoefficientSequence, l1_cap: float) -> bool:
+    """The counterexample rule of ``search`` and ``sweep``: under the
+    small-l1 hypothesis (``l1_cap <= 1/2``), a ratio over the found F's own
+    bound 1 + 3 ||F||_1 (forgiving ``DEFAULT_MARGIN_TOL``)."""
+    return l1_cap <= 0.5 and judge(
+        ratio, 1.0 + 3.0 * _l1(best_F) + DEFAULT_MARGIN_TOL) == "violated"
+
+
 def _run_search(cfg: ExperimentConfig) -> int:
     print(f"seed {cfg.seed}")
     scfg = cfg.search()
@@ -345,9 +353,7 @@ def _run_search(cfg: ExperimentConfig) -> int:
     seq_path = out / "best_F.txt"
     seq_path.parent.mkdir(parents=True, exist_ok=True)
     seq_path.write_text(sequence_to_text(res.best_F))
-    # under the small-l1 hypothesis, over the F found's 1 + 3 ||F||_1 is a counterexample
-    bound = 1.0 + 3.0 * _l1(res.best_F) + DEFAULT_MARGIN_TOL
-    if scfg.l1_cap <= 0.5 and judge(res.best_ratio, bound) == "violated":
+    if _breaks_theorem1(res.best_ratio, res.best_F, scfg.l1_cap):
         return _counterexample_exit(cfg, {"search": [
             {"F": res.best_F.to_json_dict(), "p": cfg.p, "ratio": res.best_ratio,
              "kind": "small-sequence bound violated"}
@@ -364,8 +370,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output)
     emit_report([r.to_dict() for r in rows], "json", out / "sweep.json")
     emit_report([(r.p, r.best_ratio) for r in rows], "plot", out / "sweep.dat")
-    bad = [r for r in rows if cfg.l1_cap <= 0.5 and judge(
-        r.best_ratio, 1.0 + 3.0 * _l1(r.best_F) + DEFAULT_MARGIN_TOL) == "violated"]
+    bad = [r for r in rows if _breaks_theorem1(r.best_ratio, r.best_F, cfg.l1_cap)]
     if bad:
         return _counterexample_exit(cfg, {"sweep": [
             {"F": r.best_F.to_json_dict(), "p": r.p, "ratio": r.best_ratio}

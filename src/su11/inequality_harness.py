@@ -203,12 +203,11 @@ def _require_nonzero(seq: CoefficientSequence):
         raise ZeroSequenceError("the zero sequence has no ratio")
 
 
-def _sampler_for(seq: CoefficientSequence, sampler: WeightSampler | None,
-                 exponents: ExponentPair) -> WeightSampler:
-    """``sampler``, checked to belong to ``seq``, or a new one for ``seq``
-    at ``exponents``: another sequence's samples would give its norms."""
+def _sampler_for(seq: CoefficientSequence, sampler: WeightSampler | None) -> WeightSampler:
+    """``sampler``, checked to belong to ``seq``, or a new one for ``seq``:
+    another sequence's samples would give its norms."""
     if sampler is None:
-        return WeightSampler(seq, (exponents.p,))
+        return WeightSampler(seq)
     if sampler.seq != seq:
         raise ValueError("the sampler was built for another sequence")
     return sampler
@@ -230,7 +229,7 @@ def hy_ratio(
     norm of (log A_n^2)^(1/2).  Single-spike sequences give ratio 1 exactly.
     """
     _require_nonzero(seq)
-    sampler = _sampler_for(seq, sampler, exponents)
+    sampler = _sampler_for(seq, sampler)
     lhs = sampler.norm(sampler.on_grid, exponents.q, cfg)
     rhs = sampler.lp("weights", exponents.p)
     return HyReport(
@@ -253,7 +252,7 @@ def theorem1_margin(
     Also reports the margin against the uniform-in-p corollary constant 5/2.
     """
     _require_nonzero(seq)
-    sampler = _sampler_for(seq, sampler, exponents)
+    sampler = _sampler_for(seq, sampler)
     l1 = sampler.l1
     if l1 > 0.5:
         raise PreconditionFailed(f"l1 norm {l1!r} exceeds 1/2")
@@ -312,7 +311,7 @@ def condition_check(
     ``sampler`` (built for ``seq``, else ValueError) supplies the moduli."""
     _require_nonzero(seq)
     alpha, delta = alpha_delta(cc)
-    sampler = _sampler_for(seq, sampler, exponents)
+    sampler = _sampler_for(seq, sampler)
     l1 = sampler.l1
     ratio = sampler.lp("mods", math.inf) / sampler.lp("mods", exponents.p)
     rhs = delta * (1.0 - ratio) ** alpha
@@ -330,7 +329,7 @@ def theorem2_margin(
     """Sharp-constant bound lhs <= rhs under the smallness-vs-spread
     condition, plus the refined margin against (1 - 9 l1^2) rhs."""
     _require_nonzero(seq)
-    sampler = _sampler_for(seq, sampler, exponents)
+    sampler = _sampler_for(seq, sampler)
     cond = condition_check(seq, exponents, cc, sampler)
     if not cond.holds:
         raise PreconditionFailed(
@@ -500,13 +499,14 @@ def proof_ledger(
     raised.  ``sampler`` (built for ``seq``, else ValueError) lets the
     ledgers at several exponents and the theorem margins share one set of
     grid samples and norms: the weight norm is the margin's, and the rows
-    and ``|b|`` are refined at all of the sampler's exponents at once.
+    and ``|b|`` are refined once per exponent, or at several at once by one
+    ``spectral_norms._refine_norms`` call made first (``theorem1_suite``).
     """
     if t_samples < 1:
         raise ValueError(f"t_samples must be >= 1, got {t_samples!r}")
     _require_nonzero(seq)
     p, q = exponents.p, exponents.q
-    sampler = _sampler_for(seq, sampler, exponents)
+    sampler = _sampler_for(seq, sampler)
     mods, l1 = sampler.mods, sampler.l1
     lp_f = sampler.lp("mods", p)
     lp_w = sampler.lp("weights", p)

@@ -160,17 +160,16 @@ class WeightSampler:
     evaluating only the M new odd points (``_refined_level``).  ``span``
     (``N_max - N_min``) sets the first level of a refinement.
 
-    The norms are shared too (``norm``): the sampler is built with the
-    exponents ``ps`` it serves, and the first norm asked of a level
-    function refines it at all of them in one refinement, or in one block
-    with other samplers' level functions (``_refine_norms``).  So are the
-    sequence side's scalars: the window moduli ``mods`` (|F_n|), their sum
-    ``l1``, their ``log_a_sq`` (log A_n^2) and the weights
-    W_n = (log A_n^2)^(1/2), which always dominate |F_n| entrywise, with
-    their lp norms per ``p`` (``lp``).
+    The norms are shared too (``norm``), memoized per level function and
+    ``q``; ``_refine_norms`` alone writes them, so norms wanted at several
+    exponents, or of several samplers, are refined together by one call of
+    it.  So are the sequence side's scalars: the window moduli ``mods``
+    (|F_n|), their sum ``l1``, their ``log_a_sq`` (log A_n^2) and the
+    weights W_n = (log A_n^2)^(1/2), which always dominate |F_n| entrywise,
+    with their lp norms per ``p`` (``lp``).
     """
 
-    def __init__(self, seq: CoefficientSequence, ps: tuple[float, ...] = ()):
+    def __init__(self, seq: CoefficientSequence):
         self.seq = seq
         support = seq.support()
         self.span = 0 if support is None else support[1] - support[0]
@@ -178,7 +177,6 @@ class WeightSampler:
         self.l1 = float(np.sum(self.mods))
         self.log_a_sq = [_log_a_sq(m) for m in self.mods]
         self.weights = np.sqrt(self.log_a_sq)
-        self.qs = tuple(ExponentPair(p).q for p in ps)
         self._b_abs: dict[int, np.ndarray] = {}  # see _refined_level
         self._logsq: dict[int, np.ndarray] = {}
         self._norms: dict[tuple, dict[float, NormResult]] = {}
@@ -194,13 +192,10 @@ class WeightSampler:
         """``lq_norm_periodic(level, q, cfg, span)`` of one of this sampler's
         level functions (``on_grid``, ``b_abs_on_grid`` or
         ``trace_grids.level``), memoized per function, ``q`` and ``cfg``.  A
-        miss refines the tuple of ``q`` and every exponent of the sampler
-        not yet memoized for that function, one column each, so each gets
-        the bits of its own refinement."""
+        miss is the one-member, one-exponent ``_refine_norms``."""
         memo = self._memo(level, cfg)
         if q not in memo:
-            qs = (q,) + tuple(x for x in self.qs if x != q and x not in memo)
-            memo.update(zip(qs, lq_norm_periodic(level, qs, cfg, self.span)))
+            _refine_norms([(self, level)], (q,), cfg)
         return memo[q]
 
     def lp(self, side: str, p: float) -> float:
@@ -224,20 +219,12 @@ class WeightSampler:
             self._logsq[grid_size] = out
         return out
 
-    # ``b_abs_on_grid`` and ``on_grid`` are one-row levels.  With ``rows``
-    # (then [0]) they give the row at the odd points (2j + 1) / grid_size,
-    # shape (1, grid_size / 2), as ``_refine`` asks a block's open rows
-    # (``_refine_norms``).  Those come from the cached whole level, so the
-    # weight and |b| share every sample, as when each is refined alone.
-
-    def b_abs_on_grid(self, grid_size: int, rows: list | None = None) -> np.ndarray:
+    def b_abs_on_grid(self, grid_size: int) -> np.ndarray:
         self.logsq_on_grid(grid_size)  # builds both levels together
-        out = self._b_abs[grid_size]
-        return out if rows is None else out[None, 1::2]
+        return self._b_abs[grid_size]
 
-    def on_grid(self, grid_size: int, rows: list | None = None) -> np.ndarray:
-        out = self.logsq_on_grid(grid_size)
-        return np.sqrt(out if rows is None else out[None, 1::2])
+    def on_grid(self, grid_size: int) -> np.ndarray:
+        return np.sqrt(self.logsq_on_grid(grid_size))
 
 
 def _first_grid(cfg: QuadratureConfig, span: int) -> int:
@@ -354,28 +341,23 @@ def _refine(level, statistic, cfg: QuadratureConfig, span: int, columns: int) ->
 
 
 @np.errstate(divide="ignore")  # exp(q log 0) = exp(-inf) = 0
-def lq_norm_periodic(level, q, cfg: QuadratureConfig, span: int):
+def lq_norm_periodic(level, q: float, cfg: QuadratureConfig, span: int) -> NormResult:
     """(integral of f^q over one period)^(1/q) by refining trapezoid sums.
 
     ``f`` is a nonnegative periodic function on [0, 1), or a block of them,
     given by its grid levels ``level(M)`` as ``WeightSampler.on_grid`` gives
-    them (see ``_refine``).  ``q`` is one exponent or a tuple of them, each
-    a column of one refinement, so a tuple of NormResults comes back, one
-    per ``q``; a single ``q`` gives its NormResult alone (floats for one
-    row, arrays for a block).  Per chunk of samples the statistic takes one
-    ``log``, then per ``q`` a multiply, ``exp`` and mean, and raises a row's
-    mean to ``1 / q`` in Python floats; ``q = inf`` uses the sampled
-    maximum, with one refinement doubling as the error estimate.  Every
-    (row, q) cell freezes on its own, so each ``q`` gets the bits of its own
-    refinement.
+    them (see ``_refine``): floats for one row, arrays for a block.  Per
+    chunk of samples the statistic (``_lq_statistic``) takes a ``log``, a
+    multiply, ``exp`` and mean, and raises a row's mean to ``1 / q`` in
+    Python floats; ``q = inf`` uses the sampled maximum, with one refinement
+    doubling as the error estimate.
     """
-    qs = q if isinstance(q, tuple) else (q,)
-    norms = _refine(level, _lq_statistic(qs), cfg, span, len(qs)).columns
-    return norms if isinstance(q, tuple) else norms[0]
+    return _refine(level, _lq_statistic((q,)), cfg, span, 1).columns[0]
 
 
 def _lq_statistic(qs: tuple):
-    """``lq_norm_periodic``'s statistic for the columns ``qs`` (see ``_refine``)."""
+    """``lq_norm_periodic``'s statistic for the columns ``qs``, one per
+    exponent (see ``_refine``): one ``log`` per chunk serves every ``q``."""
     if not qs:
         raise ValueError("q = () names no exponent")
     for x in qs:
@@ -403,26 +385,25 @@ def _lq_statistic(qs: tuple):
 
 
 @np.errstate(divide="ignore")  # as in lq_norm_periodic
-def _refine_norms(levels: list, cfg: QuadratureConfig) -> None:
+def _refine_norms(levels: list, qs: tuple, cfg: QuadratureConfig) -> None:
     """Fill ``WeightSampler.norm``'s memo of every ``(sampler, level)`` pair
-    (``level`` one of that sampler's level functions) at all of the
-    sampler's exponents, as one refinement per first level.
+    (``level`` one of that sampler's level functions) at the exponents
+    ``qs``, as one refinement per first level; the only writer of that memo.
 
-    The pairs are grouped by first level (``_first_grid``) and exponents,
-    and each group is one ``_refine`` with ``lq_norm_periodic``'s statistic
-    of the block that stacks the members' levels, one row per row of each.
-    Sampling stays per sequence: the block asks each member's own level
-    function for its level, or for its open rows' odd points, so every
-    sample comes through that sampler's kernel calls and caches.  Each
-    member gets, per ``q``, the NormResult its own refinement gives, bit for
-    bit: floats for a one-row level, arrays of its leading shape otherwise,
-    converged unless one of its own cells is still open.
+    The pairs are grouped by first level (``_first_grid``), and each group
+    is one ``_refine`` with ``lq_norm_periodic``'s statistic, one column
+    per ``q``, of the block that stacks the members' levels, one row per row
+    of each.  Sampling stays per sequence: the block asks each member's own
+    level function for its level, or a block member for its open rows' odd
+    points, and takes a one-row member's odd points from its whole cached
+    level, so every sample comes through that sampler's kernel calls and
+    caches.  Each member gets, per ``q``, the NormResult its own refinement
+    gives, bit for bit (``_member``).
     """
-    groups: dict[tuple, list] = {}
+    groups: dict[int, list] = {}
     for sampler, level in levels:
-        groups.setdefault((_first_grid(cfg, sampler.span), sampler.qs), []).append(
-            (sampler, level))
-    for (_, qs), members in groups.items():
+        groups.setdefault(_first_grid(cfg, sampler.span), []).append((sampler, level))
+    for members in groups.values():
         shapes, bounds = [], [0]  # member i holds the rows bounds[i]:bounds[i + 1]
 
         def block(grid: int, rows: list | None = None) -> np.ndarray:
@@ -431,11 +412,13 @@ def _refine_norms(levels: list, cfg: QuadratureConfig) -> None:
                 if not shapes:
                     shapes.extend(x.shape[:-1] for x in parts)
                     bounds.extend(itertools.accumulate(math.prod(s) for s in shapes))
-                return np.concatenate([x.reshape(-1, grid) for x in parts])
+                parts = [x.reshape(-1, grid) for x in parts]
+                return parts[0] if len(parts) == 1 else np.concatenate(parts)
             cuts = np.searchsorted(rows, bounds).tolist()  # each member's rows
-            return np.concatenate([level(grid, [r - lo for r in rows[i:j]])
-                                   for (_, level), lo, i, j in zip(members, bounds, cuts, cuts[1:])
-                                   if i < j])
+            return np.concatenate([
+                level(grid, [r - lo for r in rows[i:j]]) if shape else level(grid)[None, 1::2]
+                for (_, level), shape, lo, i, j in zip(members, shapes, bounds, cuts, cuts[1:])
+                if i < j])
 
         ref = _refine(block, _lq_statistic(qs), cfg, members[0][0].span, len(qs))
         open_cols = [set() for _ in members]
@@ -451,7 +434,8 @@ def _refine_norms(levels: list, cfg: QuadratureConfig) -> None:
 
 def _member(col: NormResult, lo: int, hi: int, shape: tuple, converged: bool) -> NormResult:
     """The rows ``lo:hi`` of a block's NormResult ``col`` as the NormResult
-    of a level of leading shape ``shape``."""
+    of a level of leading shape ``shape``: Python floats for a one-row
+    level (``shape == ()``), arrays of ``shape`` otherwise."""
     fields = (col.value, col.grid_used, col.est_rel_error)
     if shape:
         return NormResult(*(f[lo:hi].reshape(shape) for f in fields), converged)
@@ -517,12 +501,10 @@ def parseval_residuals(
                           # np.mean's bits, see lq_norm_periodic
                           lambda b, cols: (np.add.reduce(b, axis=-1) / b.shape[-1]).tolist(),
                           cfg, max(span for _, span in chunk), 1)
-            col = ref.columns[0]
-            for r, ((i, _), value, grid, est) in enumerate(zip(
-                    chunk, col.value.tolist(), col.grid_used.tolist(),
-                    col.est_rel_error.tolist())):
+            for r, (i, _) in enumerate(chunk):
+                res = _member(ref.columns[0], r, r + 1, (), r not in ref.open_cells)
                 seq_side = float(sum(_log_a_sq(abs(v)) for _, v in seqs[i].window_entries()))
-                out[i] = value - seq_side, NormResult(value, grid, est, r not in ref.open_cells)
+                out[i] = res.value - seq_side, res
     return out
 
 

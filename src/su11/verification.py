@@ -319,27 +319,29 @@ def theorem1_suite(
 
     The draws are made ``_SEQ_BLOCK`` at a time, one sampler each, and the
     torus norms the checks read (the weight, and with the ledger ``|b|`` and
-    the ledger rows) are refined at all five exponents first, as one
-    ``_refine`` per first level (``_refine_norms``), each draw's with the
-    bits of its own refinement.  The checks then run draw by draw.  Each
-    draw's levels are still sampled by its own sampler: the bench tracer
-    counts factor steps in ``product_on_grid_arrays`` only, so folding the
-    block's draws as one ``_fold_rows`` batch waits for counters it can read
-    (ROADMAP items 6 and 8).
+    the ledger rows) are refined at the five ``q`` first, by one
+    ``_refine_norms`` call that is one ``_refine`` per first level, each
+    draw's with the bits of its own refinement.  The checks then run draw by
+    draw and find every norm memoized.  Each draw's levels are still
+    sampled by its own sampler: the bench tracer counts factor steps in
+    ``product_on_grid_arrays`` only, so folding the block's draws as one
+    ``_fold_rows`` batch waits for counters it can read (ROADMAP items 6
+    and 8).
     """
     cfg = QuadratureConfig()
     rng = np.random.default_rng(seed)
     rep = SuiteReport("theorem1", seed)
     asserted = {f"L{i}" for i in range(1, 8)}
+    qs = tuple(ExponentPair(p).q for p in THEOREM1_PS)
     for start in range(0, n_draws, _SEQ_BLOCK):
         draws = [random_window_sequence(rng, 12, 0.9, l1_target=float(rng.uniform(0.0, 0.5)))
                  for _ in range(min(_SEQ_BLOCK, n_draws - start))]
-        samplers = [WeightSampler(seq, THEOREM1_PS) for seq in draws if not seq.is_zero()]
+        samplers = [WeightSampler(seq) for seq in draws if not seq.is_zero()]
         levels = [(s, s.on_grid) for s in samplers]
         if with_ledger:
             levels += [(s, level) for s in samplers
                        for level in (s.b_abs_on_grid, _trace_grids(s).level)]
-        _refine_norms(levels, cfg)
+        _refine_norms(levels, qs, cfg)
         for sampler in samplers:
             seq = sampler.seq
             for p in THEOREM1_PS:
@@ -373,7 +375,7 @@ def theorem2_suite(
         p = THEOREM2_PS[i % len(THEOREM2_PS)]
         e = ExponentPair(p)
         seq = condition9_draw(rng, p, cc)
-        sampler = WeightSampler(seq, (p,))
+        sampler = WeightSampler(seq)
         cond = condition_check(seq, e, cc, sampler)
         if not cond.holds:
             rep.fail(F=seq.to_json_dict(), p=p, kind="construction",

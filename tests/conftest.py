@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from su11 import CoefficientSequence, QuadratureConfig
+from su11.spectral_norms import _lq_statistic, _refine
 
 
 @pytest.fixture
@@ -34,3 +35,10 @@ def sequence_of_width(width):
     rng = np.random.default_rng(width)
     vals = rng.uniform(0.0, 0.9, width) * np.exp(1j * rng.uniform(0, 2 * np.pi, width))
     return CoefficientSequence(int(rng.integers(-width, 7)), tuple(vals))
+
+
+def refine_at(level, qs, cfg, span):
+    """One refinement of ``level`` at the exponents ``qs``, one column
+    each, as ``_refine_norms`` refines a block: a NormResult per ``q``."""
+    with np.errstate(divide="ignore"):  # exp(q log 0) = 0, as in lq_norm_periodic
+        return _refine(level, _lq_statistic(qs), cfg, span, len(qs)).columns

@@ -341,20 +341,25 @@ def test_cli_output_byte_deterministic(tmp_path, spike_file):
 
 
 @pytest.mark.parametrize("mode", ["search", "sweep"])
-@pytest.mark.parametrize("ratio, expected", [(2.0, 2), (1.29, 0), (1.3 + 1e-7, 2)])
+@pytest.mark.parametrize("ratio, expected, l1_cap", [
+    pytest.param(2.0, 2, "0.5", id="2.0-2"), pytest.param(1.29, 0, "0.5", id="1.29-0"),
+    pytest.param(1.3 + 1e-7, 2, "0.5", id="1.3000001-2"),
+    pytest.param(2.0, 0, "0.6", id="2.0-0-l1_cap_0.6")])
 def test_search_gates_use_the_found_sequence_bound(
-    monkeypatch, capsys, tmp_path, mode, ratio, expected
+    monkeypatch, capsys, tmp_path, mode, ratio, expected, l1_cap
 ):
     """||F||_1 = 0.1 gives the bound 1.3, below the cap's 1 + 3 * 0.5 = 2.5:
     a ratio between the two is a counterexample for that F, and the gate
-    forgives only the 1e-9 of the theorem1 margins (1.3 + 1e-7 fails)."""
+    forgives only the 1e-9 of the theorem1 margins (1.3 + 1e-7 fails).  A
+    cap above 1/2 leaves the small-l1 hypothesis, so nothing is a
+    counterexample."""
     best = CoefficientSequence(0, (0.05, 0.05j))
     e = ExponentPair(1.5)
     result = SearchResult(best, ratio, e, iters_used=0, start_index=0)
     row = SweepRow(e.p, e.q, ratio, ratio, "digest", best, 1.0)
     monkeypatch.setattr(cli, "multi_start", lambda *a, **k: result)
     monkeypatch.setattr(cli, "p_sweep", lambda *a, **k: [row])
-    code = main([mode, "--p", "1.5", "--p-values", "1.5", "--l1-cap", "0.5",
+    code = main([mode, "--p", "1.5", "--p-values", "1.5", "--l1-cap", l1_cap,
                  "--output", str(tmp_path)])
     assert code == expected
     assert (tmp_path / "counterexample.json").exists() == (expected == 2)

@@ -36,9 +36,10 @@ from su11.verification import (
     theorem2_suite,
 )
 
-from conftest import random_sequence_draw, sequence_of_width
+from conftest import random_sequence_draw, refine_at, sequence_of_width
 
 CC = CCParameters(1.0, 1.0, 1.0)
+THEOREM1_QS = tuple(ExponentPair(p).q for p in THEOREM1_PS)
 
 # Frozen 10^6-point reference values, computed from hand-derived closed
 # forms before the build:
@@ -300,7 +301,7 @@ def test_level_caches_hold_whole_levels_only():
     seq = condition9_draw(np.random.default_rng(20260808), 1.5, PLACEHOLDER_CC)
     grids, span = _TraceGrids(seq), WeightSampler(seq).span
     qs = tuple(ExponentPair(p).q for p in (1.1, 1.3, 1.5))
-    norms = lq_norm_periodic(grids.level, qs, QuadratureConfig(), span)
+    norms = refine_at(grids.level, qs, QuadratureConfig(), span)
     used = np.max([norm.grid_used.ravel() for norm in norms], axis=0)
     assert used.min() < used.max()
     assert grids._cache and all(level.shape[:-1] == (2, len(grids.entries) + 1)
@@ -371,7 +372,7 @@ def test_a_ledger_block_builds_and_steps_only_its_open_rows(monkeypatch):
     monkeypatch.setattr(_TraceGrids, "level", level_spy)
     monkeypatch.setattr(_TraceGrids, "_rows", rows_spy)
     qs = tuple(ExponentPair(p).q for p in (1.1, 1.3, 1.5))
-    norms = lq_norm_periodic(grids.level, qs, cfg, span)
+    norms = refine_at(grids.level, qs, cfg, span)
 
     first = _first_grid(cfg, span)
     assert asked[:2] == [(2 * first, None), (first, None)]
@@ -435,7 +436,10 @@ def test_ledger_with_shared_sampler_matches_fresh_calls(quad):
         CoefficientSequence(0, (0.001,) * 10),  # spread: L8/L9 evaluated
     ]
     for seq in seqs:
-        for sampler in (WeightSampler(seq), WeightSampler(seq, THEOREM1_PS)):
+        co_refined = WeightSampler(seq)  # every norm refined first, as theorem1_suite does
+        spectral_norms._refine_norms(
+            [(co_refined, level) for level in _sampler_levels(co_refined)], THEOREM1_QS, quad)
+        for sampler in (WeightSampler(seq), co_refined):
             for p in THEOREM1_PS:
                 e = ExponentPair(p)
                 assert (hy_ratio(seq, e, quad, sampler=sampler).to_dict()
@@ -477,28 +481,53 @@ def _refine_calls(monkeypatch) -> list:
     return calls
 
 
-def test_sampler_refines_each_function_once_at_all_its_exponents(quad, monkeypatch):
-    """A sampler built with the suite's exponents refines the weight, |b|
-    and the ledger block once each, at all of them; the ledger's weight
-    norm is the margin's.  One exponent more costs one refinement more."""
+def test_one_refine_norms_call_serves_every_check_of_a_draw(quad, monkeypatch):
+    """One ``_refine_norms`` call over a draw's weight, |b| and ledger rows
+    at the five theorem1 exponents is one refinement; the five margins and
+    ledgers then refine nothing, and the ledger's weight norm is the
+    margin's.  An exponent not refined yet (p = 2) costs exactly one."""
     calls = _refine_calls(monkeypatch)
     seq = random_sequence_draw(np.random.default_rng(3), l1_target=0.3)
-    sampler = WeightSampler(seq, THEOREM1_PS)
+    sampler = WeightSampler(seq)
+    spectral_norms._refine_norms(
+        [(sampler, level) for level in _sampler_levels(sampler)], THEOREM1_QS, quad)
+    assert len(calls) == 1
     for p in THEOREM1_PS:
         margin = theorem1_margin(seq, ExponentPair(p), quad, sampler=sampler)
         led = _by_id(proof_ledger(seq, ExponentPair(p), CC, quad, sampler=sampler))
         assert led["L7"].lhs == margin.lhs.value
-    assert len(calls) == 3
+    assert len(calls) == 1
     hy_ratio(seq, ExponentPair(2.0), quad, sampler=sampler)
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def test_norm_one_q_at_a_time_matches_one_refine_norms_call():
+    """``norm`` asked one ``q`` at a time, a one-member block per miss,
+    gives every level function (weight, |b|, ledger rows) the NormResult
+    that one ``_refine_norms`` call at all five exponents gives, bit for
+    bit: theorem1 draws, a one-entry draw, and a theorem2 draw; under a
+    small ``max_grid`` too, where some cells stay open."""
+    rng = np.random.default_rng(13)
+    seqs = [random_sequence_draw(rng, l1_target=float(rng.uniform(0.0, 0.5)))
+            for _ in range(4)]
+    seqs += [CoefficientSequence(-2, (0.3j,)), condition9_draw(rng, 1.5, PLACEHOLDER_CC)]
+    for cfg in (QuadratureConfig(), QuadratureConfig(max_grid=512)):
+        unconverged = False
+        for seq in seqs:
+            one_q, block = WeightSampler(seq), WeightSampler(seq)
+            spectral_norms._refine_norms(
+                [(block, level) for level in _sampler_levels(block)], THEOREM1_QS, cfg)
+            for level, own in zip(_sampler_levels(one_q), _sampler_levels(block)):
+                for q in THEOREM1_QS:
+                    got = one_q.norm(level, q, cfg)
+                    _same_norm(got, block.norm(own, q, cfg))
+                    unconverged |= not got.converged
+        assert unconverged == (cfg.max_grid == 512)
 
 
 def _per_row_lq(level, q, cfg, span):
-    """``lq_norm_periodic`` of a block, one row and one ``q`` at a time: the
-    oracle of the ledger's block refinement (a tuple of ``q`` gives a tuple
-    of results)."""
-    if isinstance(q, tuple):
-        return tuple(_per_row_lq(level, x, cfg, span) for x in q)
+    """``lq_norm_periodic`` of a block, one row at a time: the oracle of the
+    ledger's block refinement."""
     first = level(_first_grid(cfg, span))
     if first.ndim == 1:
         return lq_norm_periodic(level, q, cfg, span)
@@ -513,6 +542,13 @@ def _per_row_lq(level, q, cfg, span):
                       all(one.converged for one in ones))
 
 
+def _per_row_refine_norms(levels, qs, cfg):
+    """``_refine_norms`` by ``_per_row_lq``, one ``q`` at a time."""
+    for sampler, level in levels:
+        sampler._memo(level, cfg).update((q, _per_row_lq(level, q, cfg, sampler.span))
+                                         for q in qs)
+
+
 def test_ledger_rows_match_a_per_row_refinement(quad, monkeypatch):
     """The ledger's rows, refined as one block, give the entries of
     refining every row alone: theorem1 draws at every exponent and one
@@ -523,7 +559,7 @@ def test_ledger_rows_match_a_per_row_refinement(quad, monkeypatch):
     cases.append((condition9_draw(rng, 1.5, PLACEHOLDER_CC), 1.5))
     block = [_nan_safe(proof_ledger(seq, ExponentPair(p), PLACEHOLDER_CC, quad))
              for seq, p in cases]
-    monkeypatch.setattr(spectral_norms, "lq_norm_periodic", _per_row_lq)
+    monkeypatch.setattr(spectral_norms, "_refine_norms", _per_row_refine_norms)
     oracle = [_nan_safe(proof_ledger(seq, ExponentPair(p), PLACEHOLDER_CC, quad))
               for seq, p in cases]
     assert block == oracle
@@ -702,11 +738,12 @@ def _sampler_levels(sampler):
 
 def _each_as_alone(samplers, cfg):
     """Every norm memoized in ``samplers`` is the one a sampler of its own
-    sequence refines, bit for bit."""
+    sequence refines, one level function at a time, bit for bit."""
     for sampler in samplers:
-        alone = WeightSampler(sampler.seq, THEOREM1_PS)
+        alone = WeightSampler(sampler.seq)
         for level, own in zip(_sampler_levels(sampler), _sampler_levels(alone)):
-            for q in alone.qs:
+            spectral_norms._refine_norms([(alone, own)], THEOREM1_QS, cfg)
+            for q in THEOREM1_QS:
                 _same_norm(sampler.norm(level, q, cfg), alone.norm(own, q, cfg))
 
 
@@ -725,7 +762,8 @@ def test_a_chunk_of_theorem1_draws_matches_each_draw_refined_alone(monkeypatch):
     refine_norms = verification._refine_norms
     monkeypatch.setattr(verification, "random_window_sequence", lambda *a, **k: next(draws))
     monkeypatch.setattr(verification, "_refine_norms",
-                        lambda levels, cfg: chunks.append(levels) or refine_norms(levels, cfg))
+                        lambda levels, qs, cfg: chunks.append(levels)
+                        or refine_norms(levels, qs, cfg))
     rep = theorem1_suite(n_draws=len(seqs), seed=1)
     assert len(chunks) == 1 and rep.n_checked == 6 * len(THEOREM1_PS)
     samplers = list(dict.fromkeys(sampler for sampler, _ in chunks[0]))
@@ -733,11 +771,11 @@ def test_a_chunk_of_theorem1_draws_matches_each_draw_refined_alone(monkeypatch):
     _each_as_alone(samplers, QuadratureConfig())
 
     cfg = QuadratureConfig(max_grid=1024)
-    samplers = [WeightSampler(seq, THEOREM1_PS) for seq in seqs if not seq.is_zero()]
+    samplers = [WeightSampler(seq) for seq in seqs if not seq.is_zero()]
     spectral_norms._refine_norms(
-        [(s, level) for s in samplers for level in _sampler_levels(s)], cfg)
+        [(s, level) for s in samplers for level in _sampler_levels(s)], THEOREM1_QS, cfg)
     _each_as_alone(samplers, cfg)
-    converged = [s.norm(s.on_grid, s.qs[-1], cfg).converged for s in samplers]
+    converged = [s.norm(s.on_grid, THEOREM1_QS[-1], cfg).converged for s in samplers]
     assert True in converged and False in converged
 
 
@@ -944,9 +982,10 @@ def _writes_worst(node) -> bool:
 
 def test_every_gate_goes_through_the_judge():
     """Every suite records its worst values through ``SuiteReport.check`` and
-    nowhere else; the ledger's links and the ledger, search, sweep and probe
-    drivers call ``judge``; and none of them compares a value against
-    DEFAULT_MARGIN_TOL or a float literal below 1e-6 by hand."""
+    nowhere else; the ledger's links, the ledger and probe drivers and the
+    counterexample rule that the search and sweep drivers share
+    (``cli._breaks_theorem1``) call ``judge``; and none of them compares a
+    value against DEFAULT_MARGIN_TOL or a float literal below 1e-6 by hand."""
     root = Path(su11.__file__).parent
     fns = {}
     for name in ("verification.py", "inequality_harness.py", "cli.py"):
@@ -959,12 +998,16 @@ def test_every_gate_goes_through_the_judge():
             and fn.name != "frequency_support_suite" and not any(
                 isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check"
                 for node in ast.walk(fn))] == []
-    drivers = [fns["inequality_harness.py", "_entry"]] + [
-        fns["cli.py", f"_run_{mode}"] for mode in ("ledger", "search", "sweep", "probe")]
+    drivers = [fns["inequality_harness.py", "_entry"], fns["cli.py", "_breaks_theorem1"]] + [
+        fns["cli.py", f"_run_{mode}"] for mode in ("ledger", "probe")]
+    shared = [fns["cli.py", "_run_search"], fns["cli.py", "_run_sweep"]]
+    assert [fn.name for fn in shared if not any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_breaks_theorem1"
+        for node in ast.walk(fn))] == []
     assert [fn.name for fn in drivers if not any(
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "judge"
         for node in ast.walk(fn))] == []
-    hand = [(fn.name, ast.unparse(cmp)) for fn in in_suites + drivers
+    hand = [(fn.name, ast.unparse(cmp)) for fn in in_suites + drivers + shared
             for cmp in _outside_gates(fn) if isinstance(cmp, ast.Compare)
             and any(map(_is_tolerance, _outside_gates(cmp)))]
     assert hand == []

@@ -321,6 +321,43 @@ def test_one_factor_kernel_and_one_phase_builder(monkeypatch):
     assert even_points and set(even_points) == {"spectral_norms.py"}
 
 
+def _functions(tree, prefix=""):
+    """Every function of ``tree`` with its ``Class.name`` qualified name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield f"{prefix}{node.name}", node
+
+
+def test_refine_norms_is_the_only_writer_of_a_samplers_norms():
+    """``WeightSampler._norms`` is touched only where ``__init__`` makes it
+    and where ``_memo`` hands out one memo of it; ``_memo`` is called
+    only by ``norm``, which reads the memo and never writes it, and by
+    ``spectral_norms._refine_norms``, the one writer."""
+    mutators = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__"}
+    touches, memo_calls, norm_writes = [], [], []
+    for path in sorted(Path(su11.__file__).parent.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            where = f"{path.name}:{name}"
+            nodes = list(ast.walk(fn))
+            if any(isinstance(n, ast.Attribute) and n.attr == "_norms" for n in nodes):
+                touches.append(where)
+            if any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "_memo"
+                   for n in nodes):
+                memo_calls.append(where)
+            if name == "WeightSampler.norm":
+                norm_writes += [n for n in nodes if isinstance(n, ast.Subscript)
+                                and isinstance(n.ctx, ast.Store)
+                                or isinstance(n, ast.Call)
+                                and getattr(n.func, "attr", None) in mutators]
+    assert touches == ["spectral_norms.py:WeightSampler.__init__",
+                       "spectral_norms.py:WeightSampler._memo"]
+    assert memo_calls == ["spectral_norms.py:WeightSampler.norm",
+                          "spectral_norms.py:_refine_norms"]
+    assert norm_writes == []
+
+
 def test_norm_result_holds_only_what_it_reports():
     """``NormResult``'s fields are exactly the keys of its ``to_dict``, and
     no module of the package reads an attribute named ``history``: the

@@ -13,6 +13,7 @@ from su11 import (
     QuadratureConfig,
     WeightSampler,
     frequency_support,
+    hy_ratio,
     lp_sequence_norm,
     lq_norm_periodic,
     parseval_residual,
@@ -24,7 +25,7 @@ from su11.spectral_norms import _TINY, _first_grid, _logsq_level, _refine
 from su11.cli import main
 from su11.verification import THEOREM1_PS, parseval_suite, random_window_sequence
 
-from conftest import random_sequence_draw, sequence_of_width
+from conftest import random_sequence_draw, refine_at, sequence_of_width
 
 # 10^6-point reference quadrature of (log(17/9 + 8/9 cos 2 pi t))^(3/2),
 # cube-rooted; computed once from the closed form before the build.
@@ -160,10 +161,10 @@ def test_lq_no_convergence_flag():
 
 
 @pytest.mark.parametrize("level", [lambda M: np.full(M, 0.7), lambda M: np.zeros((0, M))])
-def test_lq_empty_tuple_of_exponents_raises_value_error(level, quad):
+def test_lq_empty_tuple_of_exponents_raises_value_error(level, quad, two_half):
     """No exponent is an error naming ``q``, not a refinement of no cells."""
     with pytest.raises(ValueError, match="q"):
-        lq_norm_periodic(level, (), quad, 0)
+        spectral_norms._refine_norms([(WeightSampler(two_half), level)], (), quad)
 
 
 def test_trapezoid_kills_pure_exponentials():
@@ -313,6 +314,26 @@ def test_level_means_equal_the_closed_form_trapezoid_sum(M):
         want = seq_side + _logsq_trapezoid_error(seq, M)
         for level in (WeightSampler(seq).logsq_on_grid(M), row):
             assert abs(np.mean(level) - want) <= 1e-13 * seq_side
+
+
+def test_p2_norm_squared_is_the_closed_form_trapezoid_sum():
+    """The p = 2 endpoint with no mpmath: on seeded endpoint-suite draws
+    the squared weight norm ``hy_ratio`` reports at q = 2, the mean of the
+    weight squared on its final level 2 ``grid_used``, is sum log A_n^2
+    plus ``_logsq_trapezoid_error`` there, within 1e-13 of the sequence
+    side.  The norm comes from a one-member ``_refine_norms`` block."""
+    checked = 0
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        for seq in (random_window_sequence(rng, 8, 0.8) for _ in range(100)):
+            if seq.is_zero():
+                continue
+            lhs = hy_ratio(seq, ExponentPair(2.0), QuadratureConfig()).lhs
+            seq_side = sum(_log_a_sq(abs(v)) for _, v in seq.window_entries())
+            want = seq_side + _logsq_trapezoid_error(seq, 2 * lhs.grid_used)
+            assert lhs.converged and abs(lhs.value ** 2 - want) <= 1e-13 * seq_side
+            checked += 1
+    assert checked > 150
 
 
 def test_parseval_residual_at_an_offset_outside_int64():
@@ -676,7 +697,7 @@ def _same_result(got, want):
        st.sampled_from((2**9, 2**12, 2**16)), st.sampled_from((None, 1, 512)))
 @settings(max_examples=40, deadline=None)
 def test_multi_q_equals_each_single_q_refinement(seed, width, qs, max_grid, chunk):
-    """Each q of a multi-q ``lq_norm_periodic`` gets the NormResult of its
+    """Each q of a multi-q refinement gets the NormResult of its
     own refinement by the per-row oracle, bit for bit: one row, and a block
     with an all-zero row and a row that never converges, at q = inf too,
     with a small ``max_grid`` and with ``_STAT_CHUNK`` patched to a row or
@@ -691,7 +712,7 @@ def test_multi_q_equals_each_single_q_refinement(seed, width, qs, max_grid, chun
         if chunk is not None:
             m.setattr(spectral_norms, "_STAT_CHUNK", chunk)
         for level in (builders[0], _block_level(builders)):
-            multi = lq_norm_periodic(level, tuple(qs), cfg, 7)
+            multi = refine_at(level, tuple(qs), cfg, 7)
             assert len(multi) == len(qs)
             for q, got in zip(qs, multi):
                 assert _same_result(got, _doubling_lq(level, q, cfg, 7)), q
@@ -704,7 +725,7 @@ def test_multi_q_ledger_block_equals_each_single_q_refinement(seed):
     seq = random_sequence_draw(np.random.default_rng(seed), l1_target=0.45)
     level, span = _TraceGrids(seq).level, WeightSampler(seq).span
     qs = tuple(ExponentPair(p).q for p in THEOREM1_PS)
-    multi = lq_norm_periodic(level, qs, QuadratureConfig(), span)
+    multi = refine_at(level, qs, QuadratureConfig(), span)
     assert multi[0].value.shape == level(16).shape[:-1]
     for q, got in zip(qs, multi):
         assert _same_result(got, _doubling_lq(level, q, QuadratureConfig(), span))
